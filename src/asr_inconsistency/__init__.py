@@ -9,7 +9,6 @@ ratings alongside confounder baselines.
 from .audio import AudioBuffer, read_wav, write_wav
 from .baselines import BaselineConfig, speech_rate, wada_snr
 from .decoder import (
-    BeamHypothesis,
     DecodedBeam,
     DecoderConfig,
     RawPath,

@@ -6,6 +6,22 @@ prefix beam search: hypotheses are collapsed label prefixes carrying
 separate probability mass for paths ending in blank vs. non-blank, merged
 by log-sum-exp, with a word-level language model fused in at every word
 boundary and once more at the end of the utterance.
+
+Children are built lazily. Each frame scores every extension of every
+surviving prefix as a plain mass in one array. An extension whose prefix is
+already in the beam is merged into that prefix's slot, which is found
+through a prefix trie rather than by hashing tuples. Every other extension
+is a new child, and its mass is that single term. Then the frame's best
+total is known before any child exists, and the floor (best total plus
+`prune_logp_floor`) drops exactly the children the full search would have
+built and dropped. Prefix tuples, partial words and LM states are built
+only for the `beam_width` survivors. `lm.advance` runs for a word boundary
+that survives the floor, and is cached per (LM state, word).
+
+The search is still exact. A prefix's mass has at most two non-blank terms
+(a repeat of its last symbol and an extension of its parent prefix) and one
+blank term, and log-sum-exp of two terms does not depend on their order. So
+the masses, scores and tie-breaks equal those of building every child.
 """
 
 from __future__ import annotations
@@ -54,8 +70,13 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
+        if math.isnan(self.beta):
+            raise ValueError("beta must be a number")
+        # a positive or NaN floor would prune every hypothesis, the best too
+        if not self.prune_logp_floor <= 0:
+            raise ValueError("prune_logp_floor must be <= 0")
 
 
 def greedy_decode(post: PosteriorMatrix) -> RawPath:
@@ -105,28 +126,6 @@ def fused_score(acoustic_logp: float, lm_logp: float, word_count: int,
     return acoustic_logp + cfg.alpha * lm_logp + cfg.beta * word_count
 
 
-@dataclass
-class BeamHypothesis:
-    """One collapsed prefix tracked during the search.
-
-    All fields besides the two mass slots are functions of the prefix, so
-    hypotheses reaching the same prefix from different parents can be merged
-    by adding their masses.
-    """
-
-    prefix: tuple[int, ...]
-    logp_blank: float = NEG_INF      # mass of alignments ending in blank
-    logp_nonblank: float = NEG_INF   # mass ending in the last prefix symbol
-    lm_state: tuple[str, ...] = ()
-    lm_logp: float = 0.0             # accumulated ln P of completed words
-    word_count: int = 0
-    partial_word: str = ""
-
-    @property
-    def total_logp(self) -> float:
-        return _logaddexp(self.logp_blank, self.logp_nonblank)
-
-
 @dataclass(frozen=True)
 class DecodedBeam:
     """A finished hypothesis with its score decomposition."""
@@ -137,6 +136,34 @@ class DecodedBeam:
     lm_logp: float
     word_count: int
     score: float
+
+
+def _memoised_advance(lm: NGramModel | None):
+    """lm.advance cached per (LM state, word) for one search."""
+    cache: dict[tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]] = {}
+
+    def advance(state: tuple[str, ...], word: str) -> tuple[float, tuple[str, ...]]:
+        key = (state, word)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = lm.advance(state, word) if lm is not None else (0.0, ())
+        return hit
+
+    return advance
+
+
+def _top(scores: np.ndarray, width: int, prefix_of) -> list[int]:
+    """Indices of the `width` highest scores; ties at the cut go to the
+    smallest prefix, and only tied candidates have their prefix built."""
+    n = len(scores)
+    if n <= width:
+        return list(range(n))
+    cut = np.partition(scores, n - width)[n - width]
+    above = np.flatnonzero(scores > cut).tolist()
+    tied = np.flatnonzero(scores == cut).tolist()
+    if len(above) + len(tied) > width:
+        tied = sorted(tied, key=prefix_of)[:width - len(above)]
+    return above + tied
 
 
 def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
@@ -152,102 +179,138 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
     delim = vocab.delimiter_index
     symbols = vocab.symbols
     n_symbols = len(symbols)
+    advance = _memoised_advance(lm)
+    # node ids of a prefix trie kept for this call: a prefix's node is
+    # node_of[(node of prefix[:-1], last symbol)]
+    node_of: dict[tuple[int, int], int] = {}
+    node_parent = [-1]
+
+    # one slot per surviving prefix: (prefix, mass ending in blank, mass
+    # ending in the last symbol, LM state, ln P of completed words, word
+    # count, partial word, trie node)
     ctx0 = lm.initial_context() if lm is not None else ()
-
-    def child_of(parent: BeamHypothesis, label: int) -> BeamHypothesis:
-        if label == delim and parent.partial_word:
-            if lm is not None:
-                word_lp, state = lm.advance(parent.lm_state, parent.partial_word)
-            else:
-                word_lp, state = 0.0, ()
-            return BeamHypothesis(
-                prefix=parent.prefix + (label,),
-                lm_state=state,
-                lm_logp=parent.lm_logp + word_lp,
-                word_count=parent.word_count + 1,
-                partial_word="",
-            )
-        partial = parent.partial_word
-        if label != delim:
-            partial = partial + symbols[label]
-        return BeamHypothesis(
-            prefix=parent.prefix + (label,),
-            lm_state=parent.lm_state,
-            lm_logp=parent.lm_logp,
-            word_count=parent.word_count,
-            partial_word=partial,
-        )
-
-    beams: dict[tuple[int, ...], BeamHypothesis] = {
-        (): BeamHypothesis(prefix=(), logp_blank=0.0, lm_state=ctx0)
-    }
+    beam = [((), 0.0, NEG_INF, ctx0, 0.0, 0, "", 0)]
 
     for t in range(post.frame_count):
-        row = post.frames[t].tolist()
-        next_beams: dict[tuple[int, ...], BeamHypothesis] = {}
-        for prefix, hyp in beams.items():
-            p_total = hyp.total_logp
-            if p_total == NEG_INF:
-                continue
-            # blank keeps the prefix
-            same = next_beams.get(prefix)
-            if same is None:
-                same = BeamHypothesis(
-                    prefix=prefix, lm_state=hyp.lm_state, lm_logp=hyp.lm_logp,
-                    word_count=hyp.word_count, partial_word=hyp.partial_word)
-                next_beams[prefix] = same
-            same.logp_blank = _logaddexp(same.logp_blank, p_total + row[blank])
-            # repeating the last symbol also keeps the prefix
-            if prefix:
-                same.logp_nonblank = _logaddexp(
-                    same.logp_nonblank, hyp.logp_nonblank + row[prefix[-1]])
-            # extensions with a new non-blank symbol
-            for k in range(n_symbols):
-                if k == blank:
-                    continue
-                # a repeated symbol needs an intervening blank; only the
-                # blank-ending mass may extend with it
-                src = hyp.logp_blank if (prefix and k == prefix[-1]) else p_total
-                if src == NEG_INF:
-                    continue
-                new_prefix = prefix + (k,)
-                child = next_beams.get(new_prefix)
-                if child is None:
-                    child = child_of(hyp, k)
-                    next_beams[new_prefix] = child
-                child.logp_nonblank = _logaddexp(child.logp_nonblank, src + row[k])
-        if not next_beams:
+        row = post.frames[t]
+        row_list = row.tolist()
+        (prefixes, logp_blank, logp_nonblank, lm_states, lm_logps,
+         word_counts, partial_words, nodes) = zip(*beam)
+        n = len(beam)
+        totals = [_logaddexp(b, nb) for b, nb in zip(logp_blank, logp_nonblank)]
+        if max(totals) == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: no surviving hypothesis")
-        best_total = max(h.total_logp for h in next_beams.values())
+        lasts = [p[-1] if p else -1 for p in prefixes]
+
+        # a blank, or a repeat of the last symbol, keeps a slot's prefix
+        keep_blank = [tot + row_list[blank] for tot in totals]
+        keep_nonblank = [nb + row_list[k] if k >= 0 else NEG_INF
+                         for nb, k in zip(logp_nonblank, lasts)]
+        keep_exists = [tot != NEG_INF for tot in totals]
+
+        # extending slot i with symbol k draws on all of its mass, or only on
+        # the blank-ending mass when k repeats its last symbol
+        src = np.repeat(np.array(totals), n_symbols).reshape(n, n_symbols)
+        ends = [i for i in range(n) if lasts[i] >= 0]
+        src[ends, [lasts[i] for i in ends]] = [logp_blank[i] for i in ends]
+        src[:, blank] = NEG_INF
+        ext = src + row
+
+        # an extension whose prefix is already in the beam merges into that
+        # slot: slot j's prefix extends the slot holding prefix[:-1]
+        slot_of = dict(zip(nodes, range(n)))
+        merged = [j for j in range(n) if node_parent[nodes[j]] in slot_of]
+        if merged:
+            rows = [slot_of[node_parent[nodes[j]]] for j in merged]
+            cols = [lasts[j] for j in merged]
+            for j, s, e in zip(merged, src[rows, cols].tolist(), ext[rows, cols].tolist()):
+                if s != NEG_INF:
+                    keep_nonblank[j] = _logaddexp(keep_nonblank[j], e)
+                    keep_exists[j] = True
+            src[rows, cols] = NEG_INF
+        keep_totals = [_logaddexp(b, nb) for b, nb in zip(keep_blank, keep_nonblank)]
+
+        # every other extension is a new child whose mass is one term, so
+        # the frame's best total is known before any child is built
+        is_new = src != NEG_INF
+        best_total = max((tot for tot, ok in zip(keep_totals, keep_exists) if ok),
+                         default=NEG_INF)
+        if is_new.any():
+            best_total = max(best_total, float(ext[is_new].max()))
         if best_total == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: all hypotheses at -inf mass")
         floor = best_total + cfg.prune_logp_floor
-        ranked = sorted(
-            (h for h in next_beams.values() if h.total_logp >= floor),
-            key=lambda h: (-fused_score(h.total_logp, h.lm_logp, h.word_count, cfg),
-                           h.prefix),
-        )
-        beams = {h.prefix: h for h in ranked[:cfg.beam_width]}
+
+        kept = [j for j in range(n) if keep_exists[j] and keep_totals[j] >= floor]
+        flat = np.flatnonzero(is_new & (ext >= floor))
+        parent_of = (flat // n_symbols).tolist()
+        child_symbols = flat % n_symbols
+        symbol_of = child_symbols.tolist()
+        child_logp = ext.ravel()[flat]
+        # fused_score, element by element in the same order of operations
+        child_scores = (child_logp + (cfg.alpha * np.array(lm_logps))[parent_of]
+                        + (cfg.beta * np.array(word_counts))[parent_of])
+        # a word boundary completes the partial word and scores it
+        for c in np.flatnonzero(child_symbols == delim).tolist():
+            i = parent_of[c]
+            if partial_words[i]:
+                word_lp, _ = advance(lm_states[i], partial_words[i])
+                child_scores[c] = fused_score(float(child_logp[c]), lm_logps[i] + word_lp,
+                                              word_counts[i] + 1, cfg)
+        child_logp = child_logp.tolist()
+
+        n_kept = len(kept)
+        scores = np.concatenate((
+            [fused_score(keep_totals[j], lm_logps[j], word_counts[j], cfg) for j in kept],
+            child_scores))
+
+        def prefix_of(c: int) -> tuple[int, ...]:
+            if c < n_kept:
+                return prefixes[kept[c]]
+            return prefixes[parent_of[c - n_kept]] + (symbol_of[c - n_kept],)
+
+        beam = []
+        for c in _top(scores, cfg.beam_width, prefix_of):
+            if c < n_kept:
+                j = kept[c]
+                beam.append((prefixes[j], keep_blank[j], keep_nonblank[j], lm_states[j],
+                             lm_logps[j], word_counts[j], partial_words[j], nodes[j]))
+                continue
+            c -= n_kept
+            i, k = parent_of[c], symbol_of[c]
+            state, lm_logp, word_count = lm_states[i], lm_logps[i], word_counts[i]
+            partial = partial_words[i]
+            if k != delim:
+                partial += symbols[k]
+            elif partial:
+                word_lp, state = advance(state, partial)
+                lm_logp += word_lp
+                word_count += 1
+                partial = ""
+            node = node_of.get((nodes[i], k))
+            if node is None:
+                node = node_of[(nodes[i], k)] = len(node_parent)
+                node_parent.append(nodes[i])
+            beam.append((prefixes[i] + (k,), NEG_INF, child_logp[c], state,
+                         lm_logp, word_count, partial, node))
 
     finished: list[DecodedBeam] = []
-    for hyp in beams.values():
-        lm_total = hyp.lm_logp
-        word_count = hyp.word_count
-        state = hyp.lm_state
-        if hyp.partial_word:
+    for prefix, logp_b, logp_nb, state, lm_total, word_count, partial, _ in beam:
+        total = _logaddexp(logp_b, logp_nb)
+        if partial:
             if lm is not None:
-                word_lp, state = lm.advance(state, hyp.partial_word)
+                word_lp, state = advance(state, partial)
                 lm_total += word_lp
             word_count += 1
         if lm is not None:
             lm_total += lm.final_logprob(state)
         finished.append(DecodedBeam(
-            prefix=hyp.prefix,
-            words=tuple(labels_to_words(list(hyp.prefix), vocab)),
-            acoustic_logp=hyp.total_logp,
+            prefix=prefix,
+            words=tuple(labels_to_words(prefix, vocab)),
+            acoustic_logp=total,
             lm_logp=lm_total,
             word_count=word_count,
-            score=fused_score(hyp.total_logp, lm_total, word_count, cfg),
+            score=fused_score(total, lm_total, word_count, cfg),
         ))
     finished.sort(key=lambda b: (-b.score, b.prefix))
     return finished
@@ -256,5 +319,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
 def beam_search_decode(post: PosteriorMatrix, vocab: Vocabulary,
                        lm: NGramModel | None, cfg: DecoderConfig) -> Transcript:
     """Highest-scoring sentence under the fused acoustic + LM score."""
-    best = decode_beams(post, vocab, lm, cfg)[0]
-    return Transcript.from_raw(" ".join(best.words), TranscriptSource.NGRAM_REFERENCE)
+    beams = decode_beams(post, vocab, lm, cfg)
+    if not beams:
+        raise EmptyBeamError(f"{post.utterance_id}: the beam search kept no hypothesis")
+    return Transcript.from_raw(" ".join(beams[0].words), TranscriptSource.NGRAM_REFERENCE)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from asr_inconsistency import (
     decode_beams,
     fused_score,
     greedy_decode,
+    load_posteriors,
+    load_vocabulary,
     parse_arpa,
 )
+from asr_inconsistency import decoder
 from asr_inconsistency.decoder import collapse_labels, labels_to_words
+from asr_inconsistency.errors import EmptyBeamError
+from asr_inconsistency.synthetic import LEXICON
 
 import oracles
 from conftest import matrix_from_probs, peaked_rows, random_log_matrix
@@ -263,3 +269,124 @@ class TestLmIntegration:
             assert beam.score == pytest.approx(
                 fused_score(beam.acoustic_logp, beam.lm_logp, beam.word_count, cfg),
                 abs=1e-12)
+
+
+class TestDecoderConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"beam_width": 0},
+        {"alpha": -0.1},
+        {"alpha": math.nan},
+        {"beta": math.nan},
+        {"prune_logp_floor": 1.0},
+        {"prune_logp_floor": math.nan},
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            DecoderConfig(**kwargs)
+
+    @pytest.mark.parametrize("floor", [0.0, -20.0, float("-inf")])
+    def test_accepts_non_positive_floors(self, floor):
+        assert DecoderConfig(prune_logp_floor=floor).prune_logp_floor == floor
+
+    def test_empty_beam_list_raises_a_toolkit_error(self, abc_vocab, monkeypatch):
+        post = matrix_from_probs("u", peaked_rows([2], 5))
+        monkeypatch.setattr(decoder, "decode_beams", lambda *args: [])
+        with pytest.raises(EmptyBeamError):
+            beam_search_decode(post, abc_vocab, None, DecoderConfig())
+
+
+def _decode_or_error(decode, post, vocab, lm, cfg):
+    try:
+        return decode(post, vocab, lm, cfg)
+    except EmptyBeamError as exc:
+        return ("EmptyBeamError", str(exc))
+
+
+def _random_rows(rng, kind: str, t: int, v: int) -> np.ndarray:
+    """Natural-log rows of one kind; "holes" may hold -inf entries."""
+    if kind == "dirichlet":
+        return random_log_matrix(rng, t, v)
+    if kind == "uniform":  # every prefix of a length ties exactly
+        return np.log(np.full((t, v), 1.0 / v))
+    if kind == "quantised":  # a few distinct values per row: many exact ties
+        counts = rng.integers(1, 4, size=(t, v)).astype(float)
+        return np.log(counts / counts.sum(axis=1, keepdims=True))
+    if kind == "peaked":
+        return np.log(peaked_rows(rng.integers(0, v, size=t), v,
+                                  hot=float(rng.choice([0.9, 0.999]))))
+    probs = rng.dirichlet(np.ones(v), size=t)
+    if kind == "tiny":  # entries near 1e-300 carry ~-690 nats
+        probs[rng.random((t, v)) < 0.4] = 1e-300
+        return np.log(probs / probs.sum(axis=1, keepdims=True))
+    assert kind == "holes"
+    logs = np.log(probs)
+    logs[rng.random((t, v)) < 0.3] = -np.inf
+    if rng.random() < 0.25:
+        logs[rng.integers(0, t)] = -np.inf
+    return logs
+
+
+class TestLazySearchMatchesReference:
+    """The lazy search returns the previous search's beam lists bit for bit."""
+
+    def test_random_cases_equal_the_reference_exactly(self, abc_vocab, bigram_model):
+        rng = np.random.default_rng(1408)
+        settings = itertools.product(
+            (1, 2, 3, 5, 8, 100), (-1.0, -3.0, -20.0, float("-inf")),
+            (0.0, 0.3, 1.0), (0.0, 0.5, 1.0), (None, bigram_model))
+        cases = errors = 0
+        for width, floor, alpha, beta, lm in settings:
+            cfg = DecoderConfig(alpha=alpha, beta=beta, beam_width=width,
+                                prune_logp_floor=floor)
+            for kind in ("dirichlet", "uniform", "quantised", "peaked", "tiny", "holes"):
+                v = int(rng.integers(3, 6))
+                vocab = Vocabulary(abc_vocab.symbols[:v], 0, 1)
+                logs = _random_rows(rng, kind, int(rng.integers(1, 7)), v)
+                # non-finite rows bypass from_array's validation on purpose
+                post = (PosteriorMatrix("u", logs) if kind == "holes"
+                        else PosteriorMatrix.from_array("u", logs))
+                expected = _decode_or_error(
+                    oracles.reference_decode_beams, post, vocab, lm, cfg)
+                assert _decode_or_error(decode_beams, post, vocab, lm, cfg) == expected, \
+                    (kind, cfg, lm is not None, logs)
+                cases += 1
+                errors += isinstance(expected, tuple)
+        assert cases == 2592
+        assert errors > 0
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.0])
+    def test_full_beam_on_a_padded_corpus_utterance(self, synthetic_corpus, temperature):
+        # every frame of the first default-corpus utterance is followed by
+        # four blank frames (T = 115), and the beam is full from frame 3.
+        # Unflattened, the -20 floor drops new children on 59 frames (~350
+        # of ~2,100 a frame on average); at temperature 2, the longform
+        # benchmark's flattening, it drops none.
+        vocab = load_vocabulary(synthetic_corpus.vocab_path)
+        post = load_posteriors(
+            synthetic_corpus.root / synthetic_corpus.records[0].posterior_path, vocab)
+        blank_row = np.log(peaked_rows([vocab.blank_index], len(vocab), hot=0.994))[0]
+        rows = [r for frame in post.frames for r in [frame] + [blank_row] * 4]
+        logs = np.asarray(rows) / temperature
+        logs -= np.logaddexp.reduce(logs, axis=1, keepdims=True)
+        padded = PosteriorMatrix.from_array("padded", logs)
+        lm = parse_arpa(_lexicon_bigram_arpa())
+        cfg = DecoderConfig()
+
+        expected = oracles.reference_decode_beams(padded, vocab, lm, cfg)
+        assert len(expected) == cfg.beam_width
+        assert decode_beams(padded, vocab, lm, cfg) == expected
+
+
+def _lexicon_bigram_arpa() -> str:
+    """A back-off bigram model over the synthetic lexicon, with boundary
+    tokens, two listed successors per word and back-off for the rest."""
+    n = len(LEXICON)
+    lines = ["\\data\\", f"ngram 1={n + 2}", f"ngram 2={2 * n + 1}", "",
+             "\\1-grams:", "-99\t<s>\t-0.3", "-1.5\t</s>"]
+    lines += [f"-1.4\t{w}\t-0.3" for w in LEXICON]
+    lines += ["", "\\2-grams:", f"-0.8\t<s> {LEXICON[0]}"]
+    for i, w in enumerate(LEXICON):
+        lines.append(f"-0.2\t{w} {LEXICON[(i + 1) % n]}")
+        lines.append(f"-0.7\t{w} {LEXICON[(i + 5) % n]}")
+    lines += ["", "\\end\\", ""]
+    return "\n".join(lines)
