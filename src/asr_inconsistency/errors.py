@@ -153,6 +153,10 @@ class DegenerateVarianceError(ToolkitError):
     pass
 
 
+class NonConvergenceError(ToolkitError):
+    """An iterative numeric routine hit its iteration limit."""
+
+
 class EmptyGroupError(ToolkitError):
     """A speaker-time group has zero scored utterances."""
 

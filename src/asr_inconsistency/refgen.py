@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
-import requests
-
 from .decoder import DecoderConfig, beam_search_decode
 from .errors import (
     AuthError,
@@ -148,6 +146,9 @@ class HttpChatClient:
         return cls(endpoint, key)
 
     def complete(self, request: CorrectionRequest) -> tuple[str, int]:
+        # imported here so that loading the toolkit does not pay for it
+        import requests
+
         body = {
             "model": request.model_name,
             "temperature": request.temperature,

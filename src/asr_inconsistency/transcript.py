@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 from .errors import TranscriptInvariantError
@@ -27,18 +27,21 @@ class Transcript:
     words: tuple[str, ...]
     raw_text: str
     source: TranscriptSource
+    # set only by from_raw, whose words are normalize_text(raw_text) by
+    # construction, so the text is not normalised a second time
+    _normalized: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _normalized: bool) -> None:
         if any(not w or "|" in w for w in self.words):
             raise TranscriptInvariantError(
                 f"bad token in transcript words: {self.words!r}")
-        if list(self.words) != normalize_text(self.raw_text):
+        if not _normalized and list(self.words) != normalize_text(self.raw_text):
             raise TranscriptInvariantError(
                 f"words {self.words!r} do not match normalize({self.raw_text!r})")
 
     @classmethod
     def from_raw(cls, raw_text: str, source: TranscriptSource) -> "Transcript":
-        return cls(tuple(normalize_text(raw_text)), raw_text, source)
+        return cls(tuple(normalize_text(raw_text)), raw_text, source, _normalized=True)
 
     @property
     def word_count(self) -> int:

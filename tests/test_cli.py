@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asr_inconsistency
 from asr_inconsistency.cli import main
 
 
@@ -10,6 +15,19 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_scipy_or_requests():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(asr_inconsistency.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, asr_inconsistency.cli; "
+         "print(sorted({'scipy', 'requests'} & set(sys.modules)))"],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 class TestDecode:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from asr_inconsistency import mean_ci, pearson, two_sample_t
+from asr_inconsistency import mean_ci, pearson, stats, two_sample_t
 from asr_inconsistency.errors import (
     DegenerateVarianceError,
     LengthMismatchError,
+    NonConvergenceError,
     TooFewValuesError,
 )
+from asr_inconsistency.stats import _t_ppf, _t_sf
 
 import oracles
 
@@ -107,3 +109,76 @@ class TestTwoSampleT:
     def test_too_few_values(self):
         with pytest.raises(TooFewValuesError):
             two_sample_t([1.0], [1.0, 2.0])
+
+
+CLOSED_FORM_QS = [0.6, 0.75, 0.9, 0.975, 0.995]
+# integer dof plus non-integer Welch dof, up to 1e4
+ROUND_TRIP_DFS = [1, 2, 3, 4, 5, 7, 10, 29, 60, 1000, 10000,
+                  1.37, 2.5, 3.91, 17.3, 250.5, 9876.5]
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("q", CLOSED_FORM_QS)
+    def test_ppf_cauchy_closed_form(self, q):
+        assert _t_ppf(q, 1) == pytest.approx(math.tan(math.pi * (q - 0.5)), rel=1e-12)
+
+    @pytest.mark.parametrize("q", CLOSED_FORM_QS)
+    def test_ppf_two_dof_closed_form(self, q):
+        expected = (2 * q - 1) / math.sqrt(2 * q * (1 - q))
+        assert _t_ppf(q, 2) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.3, 1.0, 2.5, 10.0, 1e3, 1e6])
+    def test_sf_closed_forms(self, t):
+        # df = 1: atan(1/t) / pi; df = 2: 1 / (r (r + t)) with r = sqrt(2 + t^2)
+        r = math.sqrt(2 + t * t)
+        assert _t_sf(t, 1) == pytest.approx(math.atan2(1, t) / math.pi, rel=1e-13)
+        assert _t_sf(t, 2) == pytest.approx(1 / (r * (r + t)), rel=1e-13)
+
+    @pytest.mark.parametrize("df", ROUND_TRIP_DFS)
+    def test_sf_inverts_ppf(self, df):
+        for q in [0.5000001, 0.51, 0.6, 0.75, 0.9, 0.975, 0.995, 0.9999, 1 - 1e-9]:
+            t = _t_ppf(q, df)
+            assert t > 0
+            assert _t_sf(t, df) == pytest.approx(1 - q, rel=1e-12)
+
+    @pytest.mark.parametrize("df", ROUND_TRIP_DFS)
+    def test_ppf_is_antisymmetric(self, df):
+        for q in [0.6, 0.975]:
+            assert _t_ppf(1 - q, df) == pytest.approx(-_t_ppf(q, df), rel=1e-12)
+        assert _t_ppf(0.5, df) == 0.0
+
+    @pytest.mark.parametrize("df", ROUND_TRIP_DFS)
+    def test_sf_is_half_at_zero_and_decreasing(self, df):
+        assert _t_sf(0.0, df) == 0.5
+        ts = [0.0, 1e-6, 0.01, 0.1, 0.5, 1, 2, 3, 5, 10, 30, 100, 1e3]
+        tails = [_t_sf(t, df) for t in ts]
+        # strictly falling until the tail underflows to 0 at large dof
+        assert all(a > b or a == b == 0.0 for a, b in zip(tails, tails[1:]))
+        assert all(_t_sf(-t, df) == pytest.approx(1 - tail, rel=1e-12)
+                   for t, tail in zip(ts, tails))
+
+    def test_tiny_tails_are_finite_and_non_negative(self):
+        for df in [1, 2, 4, 30, 1000]:
+            tail = _t_sf(1e6, df)
+            assert math.isfinite(tail) and tail >= 0.0
+        t, p = two_sample_t([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert t == -1e6
+        assert math.isfinite(p) and 0.0 <= p < 1e-20
+
+    def test_ppf_rejects_levels_outside_unit_interval(self):
+        for q in [0.0, 1.0, -0.5, 1.5, math.nan]:
+            with pytest.raises(ValueError):
+                _t_ppf(q, 3)
+
+    def test_nan_input_raises_non_convergence(self):
+        with pytest.raises(NonConvergenceError):
+            _t_sf(math.nan, 3)
+        with pytest.raises(NonConvergenceError):
+            _t_sf(1.0, math.nan)
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_CF_MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError):
+            _t_sf(2.0, 10)
+        with pytest.raises(NonConvergenceError):
+            mean_ci([1.0, 2.0, 4.0, 8.0])

@@ -47,6 +47,19 @@ class TestTranscript:
         for source in TranscriptSource:
             assert Transcript.from_raw("a", source).source is source
 
+    def test_from_raw_normalizes_once(self, monkeypatch):
+        from asr_inconsistency import transcript
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(transcript, "normalize_text", counting)
+        t = Transcript.from_raw("De Kat!", TranscriptSource.GREEDY)
+        assert calls == ["De Kat!"]
+        assert t.words == ("de", "kat")
+
     def test_mismatched_words_rejected(self):
         with pytest.raises(TranscriptInvariantError):
             Transcript(words=("kat",), raw_text="hond", source=TranscriptSource.GREEDY)
