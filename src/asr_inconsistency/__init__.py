@@ -53,7 +53,6 @@ from .refgen import (
     build_prompt,
     correct_with_llm,
     extract_bracketed,
-    generate_reference,
 )
 from .stats import mean_ci, pearson, two_sample_t
 from .textnorm import normalize_text

@@ -13,36 +13,24 @@ import os
 import sys
 from pathlib import Path
 
-from .baselines import (
-    WORDS_PER_MINUTE,
-    WORDS_PER_SECOND,
-    BaselineConfig,
-    speech_rate,
-    wada_snr,
-)
-from .audio import read_wav
+from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND, BaselineConfig
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
-from .errors import MissingDurationError, ToolkitError
+from .errors import ToolkitError
 from .harness import (
     EvalConfig,
     LlmSpec,
     llm_accuracy_report,
     render_report_text,
     replay_run_results,
+    require_scored,
     run_pipeline,
+    score_utterance,
+    variant_label,
 )
 from .manifest import load_manifest
-from .metrics import inconsistency_score
 from .ngram import load_arpa
 from .posteriors import load_posteriors
-from .refgen import (
-    ENV_API_KEY,
-    ENV_ENDPOINT,
-    ENV_MODEL,
-    HttpChatClient,
-    MockCorrector,
-    correct_with_llm,
-)
+from .refgen import ENV_API_KEY, ENV_ENDPOINT, ENV_MODEL, HttpChatClient, MockCorrector
 from .vocab import load_vocabulary
 
 EXIT_OK = 0
@@ -111,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lm")
     p_eval.add_argument("--language", default="unknown")
     p_eval.add_argument("--dataset-name")
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--speech-rate-unit", default=WORDS_PER_MINUTE,
                         choices=[WORDS_PER_MINUTE, WORDS_PER_SECOND])
     _add_decoder_args(p_eval)
@@ -181,10 +168,15 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _open_out(path: str | None):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return sys.stdout
+def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
+    out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def cmd_score(args) -> int:
@@ -196,50 +188,34 @@ def cmd_score(args) -> int:
     if len(specs) > 1:
         raise UsageError("score supports a single --model; use eval for several")
 
-    vocab = load_vocabulary(args.vocab)
-    lm = load_arpa(args.lm) if args.lm else None
-    cfg = _load_decoder_config(args)
-    manifest = load_manifest(args.manifest)
-    base_dir = Path(args.manifest).resolve().parent
-
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        if args.method == "ngram":
-            writer.writerow(["utterance_id", "speaker_id", "method", "value"])
-        else:
-            writer.writerow(["utterance_id", "speaker_id", "method",
-                             *[f"run_{i}" for i in range(args.runs)]])
-        for record in manifest:
-            post = load_posteriors(base_dir / record.posterior_path, vocab)
-            greedy = collapse(greedy_decode(post), vocab)
-            if args.method == "ngram":
-                ref = beam_search_decode(post, vocab, lm, cfg)
-                score = inconsistency_score(greedy, ref, record.utterance_id)
-                writer.writerow([record.utterance_id, record.speaker_id,
-                                 "ngram", repr(score.value)])
-            else:
-                spec = specs[0]
-                if not greedy.words:
-                    # nothing to correct; leave the run cells blank
-                    writer.writerow([record.utterance_id, record.speaker_id,
-                                     f"llm[{spec.model_name}]",
-                                     *[""] * args.runs])
-                    continue
-                corrections = correct_with_llm(
-                    spec.client, greedy, args.language, spec.model_name,
-                    runs=args.runs, temperature=args.temperature)
-                values = [
-                    inconsistency_score(greedy, c.corrected, record.utterance_id,
-                                        model_name=spec.model_name,
-                                        run_index=c.run_index).value
-                    for c in corrections]
-                writer.writerow([record.utterance_id, record.speaker_id,
-                                 f"llm[{spec.model_name}]",
-                                 *[repr(v) for v in values]])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    config = EvalConfig(
+        methods=(args.method,),
+        vocab=load_vocabulary(args.vocab),
+        lm=load_arpa(args.lm) if args.lm else None,
+        decoder=_load_decoder_config(args),
+        llm_models=tuple(specs),
+        llm_runs=args.runs,
+        llm_temperature=args.temperature,
+        language=args.language,
+        base_dir=Path(args.manifest).resolve().parent,
+    )
+    if specs:
+        label = variant_label("llm", specs[0].model_name)
+        columns = [f"run_{i}" for i in range(args.runs)]
+    else:
+        label, columns = "ngram", ["value"]
+    results = [score_utterance(r, config) for r in load_manifest(args.manifest)]
+    rows = []
+    for res in results:
+        uid = res.record.utterance_id
+        for stage, message in res.errors:
+            print(f"warning: {uid}: {stage}: {message}", file=sys.stderr)
+        # a failed utterance keeps its row, with blank value cells
+        values = [repr(s.value) for s in res.scores if s.method == args.method]
+        rows.append([uid, res.record.speaker_id, label,
+                     *(values or [""] * len(columns))])
+    require_scored(results)
+    _write_csv(args.out, ["utterance_id", "speaker_id", "method", *columns], rows)
     return EXIT_OK
 
 
@@ -268,12 +244,11 @@ def cmd_eval(args) -> int:
         llm_temperature=args.temperature,
         language=args.language,
         dataset_name=args.dataset_name or Path(args.manifest).stem,
-        jobs=args.jobs,
         baseline=BaselineConfig(speech_rate_unit=args.speech_rate_unit),
         base_dir=Path(args.manifest).resolve().parent,
         snapshot={"argv": sys.argv[1:], "manifest": args.manifest,
                   "vocab": args.vocab, "lm": args.lm,
-                  "mock": bool(args.mock), "jobs": args.jobs},
+                  "mock": bool(args.mock)},
     )
     result = run_pipeline(manifest, config, args.out)
     print(render_report_text(result.report))
@@ -286,44 +261,21 @@ def cmd_baselines(args) -> int:
     bad = [m for m in methods if m not in ("speech_rate", "wada_snr")]
     if bad:
         raise UsageError(f"unknown baseline methods: {', '.join(bad)}")
-    manifest = load_manifest(args.manifest)
-    base_dir = Path(args.manifest).resolve().parent
-    from .transcript import Transcript, TranscriptSource
-
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["utterance_id", "speaker_id", "method", "value", "error"])
-        for record in manifest:
-            gt = None
-            if record.ground_truth_text is not None:
-                gt = Transcript.from_raw(record.ground_truth_text,
-                                         TranscriptSource.GROUND_TRUTH)
-            for method in methods:
-                try:
-                    if method == "speech_rate":
-                        duration = record.duration_s
-                        if duration is None:
-                            if record.audio_path is None:
-                                raise MissingDurationError(
-                                    f"{record.utterance_id}: no duration or audio")
-                            duration = read_wav(base_dir / record.audio_path).duration_s
-                        score = speech_rate(gt, duration, record.utterance_id,
-                                            unit=args.speech_rate_unit)
-                    else:
-                        if record.audio_path is None:
-                            raise MissingDurationError(
-                                f"{record.utterance_id}: no audio_path")
-                        buffer = read_wav(base_dir / record.audio_path)
-                        score = wada_snr(buffer, record.utterance_id)
-                    writer.writerow([record.utterance_id, record.speaker_id,
-                                     method, repr(score.value), ""])
-                except ToolkitError as exc:
-                    writer.writerow([record.utterance_id, record.speaker_id,
-                                     method, "", str(exc)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    config = EvalConfig(
+        methods=methods,
+        baseline=BaselineConfig(speech_rate_unit=args.speech_rate_unit),
+        base_dir=Path(args.manifest).resolve().parent,
+    )
+    rows = []
+    for record in load_manifest(args.manifest):
+        res = score_utterance(record, config)
+        values = {s.method: repr(s.value) for s in res.scores}
+        errors = dict(res.errors)
+        rows.extend([record.utterance_id, record.speaker_id, method,
+                     values.get(method, ""), errors.get(method, "")]
+                    for method in methods)
+    _write_csv(args.out, ["utterance_id", "speaker_id", "method", "value", "error"],
+               rows)
     return EXIT_OK
 
 
@@ -335,9 +287,9 @@ def cmd_report(args) -> int:
         print(llm_accuracy_report(run_dir))
         return EXIT_OK
     for rr in replay_run_results(run_dir):
-        label = f"{rr.method}[{rr.model_name}]" if rr.model_name else rr.method
         run = "" if rr.run_index is None else f" run{rr.run_index}"
-        print(f"{label}{run}: r={rr.pearson_r:.4f} over {rr.n_points} points")
+        print(f"{variant_label(rr.method, rr.model_name)}{run}: "
+              f"r={rr.pearson_r:.4f} over {rr.n_points} points")
     return EXIT_OK
 
 

@@ -117,10 +117,6 @@ class RateLimitedError(ToolkitError):
     pass
 
 
-class UnknownMethodError(ToolkitError):
-    pass
-
-
 # --- metrics / baselines -----------------------------------------------------
 
 class MissingGroundTruthError(ToolkitError):

@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +39,8 @@ from .vocab import Vocabulary
 log = logging.getLogger(__name__)
 
 KNOWN_METHODS = ("speech_rate", "wada_snr", "ngram", "llm", "reference_wer")
+# methods scored against the greedy transcript, so they need a vocabulary
+DECODED_METHODS = ("ngram", "llm", "reference_wer")
 SIGNIFICANCE_LEVEL = 0.05
 
 
@@ -52,7 +53,7 @@ class LlmSpec:
 @dataclass
 class EvalConfig:
     methods: tuple[str, ...]
-    vocab: Vocabulary
+    vocab: Vocabulary | None = None
     lm: NGramModel | None = None
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     llm_models: tuple[LlmSpec, ...] = ()
@@ -60,7 +61,6 @@ class EvalConfig:
     llm_temperature: float = 0.0
     language: str = "unknown"
     dataset_name: str = "dataset"
-    jobs: int = 1
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     base_dir: Path = field(default_factory=Path.cwd)
     snapshot: dict = field(default_factory=dict)
@@ -69,14 +69,14 @@ class EvalConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            if m in DECODED_METHODS and self.vocab is None:
+                raise ValueError(f"the {m} method needs a vocabulary")
         if "ngram" in self.methods and self.lm is None:
             raise ValueError("the ngram method needs a language model")
         if "llm" in self.methods and not self.llm_models:
             raise ValueError("the llm method needs at least one model client")
         if self.llm_runs < 1:
             raise ValueError("llm_runs must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class ReportRow:
 
     @property
     def label(self) -> str:
-        return f"{self.method}[{self.model_name}]" if self.model_name else self.method
+        return variant_label(self.method, self.model_name)
 
 
 @dataclass
@@ -157,16 +157,17 @@ def _resolve_duration(record: UtteranceRecord, base_dir: Path) -> float:
 
 
 def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceResult:
-    """Decode and score one utterance; per-method failures are recorded,
-    not raised."""
+    """Decode (when the config has a vocabulary) and score one utterance;
+    per-method failures are recorded, not raised."""
     result = UtteranceResult(record=record)
     uid = record.utterance_id
-    try:
-        post = load_posteriors(config.base_dir / record.posterior_path, config.vocab)
-        result.greedy = collapse(greedy_decode(post), config.vocab)
-    except (ToolkitError, OSError) as exc:
-        result.errors.append(("decode", str(exc)))
-        return result
+    if config.vocab is not None:
+        try:
+            post = load_posteriors(config.base_dir / record.posterior_path, config.vocab)
+            result.greedy = collapse(greedy_decode(post), config.vocab)
+        except (ToolkitError, OSError) as exc:
+            result.errors.append(("decode", str(exc)))
+            return result
 
     if record.ground_truth_text is not None:
         result.ground_truth = Transcript.from_raw(
@@ -224,9 +225,14 @@ def _score_llm(result: UtteranceResult, config: EvalConfig) -> None:
 # aggregation and statistics
 
 
-def _variant_key(score: ScoreRecord) -> tuple:
+def _variant_key(score: ScoreRecord | SpeakerScore) -> tuple:
     return (score.method, score.model_name or "", -1 if score.run_index is None
             else score.run_index)
+
+
+def variant_label(method: str, model_name: str | None) -> str:
+    """How reports and CSVs name a method variant: llm[model], or ngram."""
+    return f"{method}[{model_name}]" if model_name else method
 
 
 def aggregate_speaker(
@@ -303,14 +309,13 @@ def correlate(speaker_scores: list[SpeakerScore]) -> tuple[list[RunResult], list
     """
     variants: dict[tuple, list[SpeakerScore]] = {}
     for s in speaker_scores:
-        key = (s.method, s.model_name or "", -1 if s.run_index is None else s.run_index)
-        variants.setdefault(key, []).append(s)
+        variants.setdefault(_variant_key(s), []).append(s)
     results: list[RunResult] = []
     notes: list[str] = []
     for key in sorted(variants):
         method, model_name, run_index = key
         rated = [(s.mean_value, s.rating) for s in variants[key] if s.rating is not None]
-        label = f"{method}[{model_name}]" if model_name else method
+        label = variant_label(method, model_name)
         if run_index >= 0:
             label += f" run{run_index}"
         try:
@@ -467,8 +472,8 @@ def write_speaker_scores_csv(speaker_scores: list[SpeakerScore],
                              dataset: str, path: Path) -> None:
     rows = []
     for s in speaker_scores:
-        method = f"{s.method}[{s.model_name}]" if s.model_name else s.method
-        rows.append([dataset, method, _cell(s.run_index), s.speaker_id,
+        rows.append([dataset, variant_label(s.method, s.model_name),
+                     _cell(s.run_index), s.speaker_id,
                      s.timepoint_id, s.n_utterances, _cell(s.mean_value),
                      _cell(s.rating)])
     _write_csv(path, ["dataset", "method", "run_index", "speaker_id",
@@ -522,6 +527,14 @@ def _persist(results: list[UtteranceResult], run_dir: Path) -> None:
                    ["utterance_id", "stage", "message"], exclusions)
 
 
+def require_scored(results: list[UtteranceResult]) -> int:
+    """Number of utterances with at least one score; PipelineError if none."""
+    n_scored = sum(1 for res in results if res.scores)
+    if not n_scored:
+        raise PipelineError("no utterance produced any score")
+    return n_scored
+
+
 def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
                  output_dir: str | Path) -> PipelineResult:
     """Score every utterance, aggregate, correlate, and persist the run.
@@ -532,18 +545,10 @@ def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
     run_dir = Path(output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    ordered = sorted(manifest, key=lambda r: r.utterance_id)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda r: score_utterance(r, config), ordered))
-    else:
-        results = [score_utterance(r, config) for r in ordered]
-    results.sort(key=lambda res: res.record.utterance_id)
-
+    results = [score_utterance(r, config)
+               for r in sorted(manifest, key=lambda r: r.utterance_id)]
+    n_scored = require_scored(results)
     all_scores = [s for res in results for s in res.scores]
-    n_scored = sum(1 for res in results if res.scores)
-    if not all_scores:
-        raise PipelineError("no utterance produced any score")
 
     speaker_scores = aggregate_speaker(all_scores, manifest, on_empty="skip")
     run_results, notes = correlate(speaker_scores)

@@ -1,9 +1,10 @@
-"""Reference transcript generation.
+"""LLM reference generation.
 
-Two routes produce the reference a greedy transcript is scored against:
-the LM-fused beam decoder, and a correction client that asks a chat-style
-model to repair the greedy text. The deterministic MockCorrector stands in
-for the live endpoint in tests and offline runs.
+A correction client asks a chat-style model to repair the greedy text; the
+repaired text is the reference the greedy transcript is scored against.
+(The other reference, the LM-fused beam search, lives in decoder.) The
+deterministic MockCorrector stands in for the live endpoint in tests and
+offline runs.
 """
 
 from __future__ import annotations
@@ -14,18 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
-from .decoder import DecoderConfig, beam_search_decode
-from .errors import (
-    AuthError,
-    EmptyReplyError,
-    RateLimitedError,
-    TransportError,
-    UnknownMethodError,
-)
-from .ngram import NGramModel
-from .posteriors import PosteriorMatrix
+from .errors import AuthError, EmptyReplyError, RateLimitedError, TransportError
 from .transcript import Transcript, TranscriptSource
-from .vocab import Vocabulary
 
 BRACKETED = "bracketed"
 FALLBACK_WHOLE_REPLY = "fallback_whole_reply"
@@ -212,33 +203,3 @@ def correct_with_llm(client: CorrectionClient, w_greedy: Transcript,
             retries=retries,
         ))
     return results
-
-
-def generate_reference(method: str, *,
-                       post: PosteriorMatrix | None = None,
-                       vocab: Vocabulary | None = None,
-                       lm: NGramModel | None = None,
-                       decoder_config: DecoderConfig | None = None,
-                       client: CorrectionClient | None = None,
-                       w_greedy: Transcript | None = None,
-                       language: str = "unknown",
-                       model_name: str = "",
-                       runs: int = 3,
-                       temperature: float = 0.0) -> list[Transcript]:
-    """Dispatch to one of the reference-generation routes.
-
-    "ngram" decodes the posteriors with the LM-fused beam search and returns
-    a single transcript; "llm" sends the greedy text to the correction
-    client and returns one transcript per run.
-    """
-    if method == "ngram":
-        if post is None or vocab is None or decoder_config is None:
-            raise ValueError("ngram reference needs posteriors, vocab and decoder config")
-        return [beam_search_decode(post, vocab, lm, decoder_config)]
-    if method == "llm":
-        if client is None or w_greedy is None:
-            raise ValueError("llm reference needs a client and the greedy transcript")
-        results = correct_with_llm(client, w_greedy, language, model_name,
-                                   runs=runs, temperature=temperature)
-        return [r.corrected for r in results]
-    raise UnknownMethodError(f"unknown reference method {method!r}")

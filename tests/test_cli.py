@@ -17,6 +17,34 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def write_manifest_lines(path, corpus, n, changes):
+    """The first n corpus records with absolute paths, record i updated
+    with changes[i] (relative paths there resolve beside `path`)."""
+    lines = corpus.manifest_path.read_text().splitlines()[:n]
+    objs = [json.loads(line) for line in lines]
+    for i, obj in enumerate(objs):
+        for key in ("posterior_path", "audio_path"):
+            obj[key] = str(corpus.root / obj[key])
+        obj.update(changes.get(i, {}))
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return objs
+
+
+@pytest.fixture(scope="module")
+def eval_values(synthetic_corpus, tmp_path_factory):
+    """{(utterance_id, method): value cell} of one eval run's
+    utterance_scores.csv."""
+    run_dir = tmp_path_factory.mktemp("eval") / "run"
+    code = main(["eval", "--manifest", str(synthetic_corpus.manifest_path),
+                 "--vocab", str(synthetic_corpus.vocab_path),
+                 "--methods", "speech_rate,wada_snr,ngram",
+                 "--lm", str(synthetic_corpus.lm_path), "--out", str(run_dir)])
+    assert code == 0
+    with open(run_dir / "utterance_scores.csv", encoding="utf-8") as fin:
+        return {(r["utterance_id"], r["method"]): r["value"]
+                for r in csv.DictReader(fin)}
+
+
 def test_cli_import_loads_no_scipy_or_requests():
     # a fresh interpreter, so modules other tests imported do not count
     src = str(Path(asr_inconsistency.__file__).resolve().parents[1])
@@ -74,7 +102,7 @@ class TestDecode:
 
 
 class TestScore:
-    def test_ngram_csv(self, synthetic_corpus, tmp_path, capsys):
+    def test_ngram_csv(self, synthetic_corpus, eval_values, tmp_path, capsys):
         out_csv = tmp_path / "scores.csv"
         code, _, _ = run_cli(capsys, "score",
                              "--manifest", str(synthetic_corpus.manifest_path),
@@ -87,6 +115,40 @@ class TestScore:
         assert len(rows) == 72
         assert rows[0]["method"] == "ngram"
         assert float(rows[0]["value"]) == 0.0  # clean speaker
+        # the same cells as the ngram rows of eval on the same corpus
+        assert {r["utterance_id"]: r["value"] for r in rows} == {
+            uid: value for (uid, method), value in eval_values.items()
+            if method == "ngram"}
+
+    def test_missing_posterior_is_quarantined(self, synthetic_corpus, tmp_path,
+                                              capsys):
+        manifest = tmp_path / "m.jsonl"
+        objs = write_manifest_lines(manifest, synthetic_corpus, 3,
+                                    {1: {"posterior_path": "missing.ctcp"}})
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
+                               "--vocab", str(synthetic_corpus.vocab_path),
+                               "--method", "ngram",
+                               "--lm", str(synthetic_corpus.lm_path),
+                               "--out", str(out_csv))
+        assert code == 0
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [r["utterance_id"] for r in rows] == [o["utterance_id"] for o in objs]
+        assert [r["value"] == "" for r in rows] == [False, True, False]
+        assert f"warning: {objs[1]['utterance_id']}: decode: " in err
+
+    def test_every_posterior_missing_is_runtime_error(self, synthetic_corpus,
+                                                      tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        missing = {"posterior_path": "missing.ctcp"}
+        write_manifest_lines(manifest, synthetic_corpus, 2, {0: missing, 1: missing})
+        code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
+                               "--vocab", str(synthetic_corpus.vocab_path),
+                               "--method", "ngram",
+                               "--lm", str(synthetic_corpus.lm_path))
+        assert code == 1
+        assert err.count("warning: ") == 2
+        assert "no utterance produced any score" in err
 
     def test_llm_mock_three_run_columns(self, synthetic_corpus, tmp_path, capsys):
         out_csv = tmp_path / "scores.csv"
@@ -173,7 +235,6 @@ class TestGoldenReport:
                              "--mock", "--mock-replies",
                              str(synthetic_corpus.mock_half_fix_path),
                              "--dataset-name", "synthetic",
-                             "--jobs", "2",
                              "--out", str(run_dir))
         assert code == 0
         golden = Path(__file__).parent / "data" / "golden_report.txt"
@@ -181,7 +242,7 @@ class TestGoldenReport:
 
 
 class TestBaselinesAndReport:
-    def test_baselines_csv(self, synthetic_corpus, tmp_path, capsys):
+    def test_baselines_csv(self, synthetic_corpus, eval_values, tmp_path, capsys):
         out_csv = tmp_path / "base.csv"
         code, _, _ = run_cli(capsys, "baselines",
                              "--manifest", str(synthetic_corpus.manifest_path),
@@ -191,6 +252,27 @@ class TestBaselinesAndReport:
         rows = list(csv.DictReader(out_csv.open()))
         assert len(rows) == 144  # two methods per utterance
         assert all(r["error"] == "" for r in rows)
+        assert {(r["utterance_id"], r["method"]): r["value"] for r in rows} == {
+            key: value for key, value in eval_values.items()
+            if key[1] in ("speech_rate", "wada_snr")}
+
+    def test_baselines_missing_wav_goes_to_error_column(self, synthetic_corpus,
+                                                         tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        objs = write_manifest_lines(manifest, synthetic_corpus, 2,
+                                    {0: {"audio_path": "missing.wav"}})
+        out_csv = tmp_path / "base.csv"
+        code, _, _ = run_cli(capsys, "baselines", "--manifest", str(manifest),
+                             "--out", str(out_csv))
+        assert code == 0
+        rows = {(r["utterance_id"], r["method"]): r
+                for r in csv.DictReader(out_csv.open())}
+        broken = rows[(objs[0]["utterance_id"], "wada_snr")]
+        assert broken["value"] == "" and "missing.wav" in broken["error"]
+        # speech rate uses duration_s, so only wada_snr fails
+        assert rows[(objs[0]["utterance_id"], "speech_rate")]["value"]
+        assert all(r["value"] and not r["error"] for key, r in rows.items()
+                   if key[0] == objs[1]["utterance_id"])
 
     def test_report_replay_over_run_dir(self, synthetic_corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -240,7 +322,7 @@ class TestBaselinesAndReport:
                    "--runs", "--temperature", "--mock", "--mock-replies",
                    "--language", "--out"]),
         ("eval", ["--manifest", "--vocab", "--methods", "--out", "--lm",
-                  "--jobs", "--dataset-name", "--language", "--mock",
+                  "--dataset-name", "--language", "--mock",
                   "--model", "--runs", "--speech-rate-unit"]),
         ("baselines", ["--manifest", "--methods", "--speech-rate-unit", "--out"]),
         ("report", ["--llm-accuracy"]),

@@ -198,7 +198,7 @@ def corpus_run(synthetic_corpus, tmp_path_factory):
         methods=("speech_rate", "wada_snr", "ngram", "llm", "reference_wer"),
         vocab=vocab, lm=lm,
         llm_models=(LlmSpec("mock-corrector", mock),),
-        dataset_name="synthetic", language="Dutch", jobs=2,
+        dataset_name="synthetic", language="Dutch",
         base_dir=synthetic_corpus.root)
     run_dir = tmp_path_factory.mktemp("run")
     result = run_pipeline(manifest, config, run_dir)
@@ -323,6 +323,14 @@ class TestLlmAccuracyDirections:
         greedy_wer, llm_wer = self._run(synthetic_corpus, tmp_path,
                                         MockCorrector(), "echo")
         assert llm_wer == pytest.approx(greedy_wer)
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("method", ["ngram", "llm", "reference_wer"])
+    def test_decoded_methods_need_a_vocabulary(self, bigram_model, method):
+        with pytest.raises(ValueError, match="vocabulary"):
+            EvalConfig(methods=(method,), vocab=None, lm=bigram_model,
+                       llm_models=(LlmSpec("m", MockCorrector()),))
 
 
 class TestScoreUtterance:

@@ -8,12 +8,9 @@ from asr_inconsistency import (
     build_prompt,
     correct_with_llm,
     extract_bracketed,
-    generate_reference,
 )
-from asr_inconsistency.errors import EmptyReplyError, TransportError, UnknownMethodError
+from asr_inconsistency.errors import EmptyReplyError, TransportError
 from asr_inconsistency.refgen import BRACKETED, FALLBACK_WHOLE_REPLY, PROMPT_TEMPLATE
-
-from conftest import matrix_from_probs, peaked_rows
 
 
 def greedy(text):
@@ -122,26 +119,6 @@ class TestCorrectWithLlm:
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
             CorrectionRequest(language="Dutch", sentence="  ", model_name="m")
-
-
-class TestGenerateReference:
-    def test_ngram_route_on_one_hot_posteriors(self, abc_vocab):
-        from asr_inconsistency import DecoderConfig
-        post = matrix_from_probs("u", peaked_rows([2, 1, 3], 5, hot=0.9999))
-        refs = generate_reference("ngram", post=post, vocab=abc_vocab, lm=None,
-                                  decoder_config=DecoderConfig(alpha=0.0, beta=0.0))
-        assert len(refs) == 1
-        assert refs[0].words == ("a", "b")
-        assert refs[0].source is TranscriptSource.NGRAM_REFERENCE
-
-    def test_llm_route_uses_mock(self):
-        refs = generate_reference("llm", client=MockCorrector({"x": "[y z]"}),
-                                  w_greedy=greedy("x"), model_name="m", runs=2)
-        assert [r.words for r in refs] == [("y", "z"), ("y", "z")]
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(UnknownMethodError):
-            generate_reference("magic")
 
 
 class TestHttpClientRetries:

@@ -14,7 +14,8 @@ from asr_inconsistency.stats import _t_ppf, _t_sf
 
 import oracles
 
-T_975_DF2 = 4.302652729911275  # Student-t quantile, 97.5%, 2 dof
+# Student-t quantile, 97.5%, 2 dof: (2q-1)/sqrt(2q(1-q)) at q=0.975
+T_975_DF2 = 4.302652729749464
 
 
 class TestPearson:
@@ -59,7 +60,7 @@ class TestMeanCi:
         mean, half = mean_ci(values)
         s = np.std(values, ddof=1)
         assert mean == pytest.approx(-0.90, abs=1e-12)
-        assert half == pytest.approx(T_975_DF2 * s / math.sqrt(3), abs=1e-6)
+        assert half == pytest.approx(T_975_DF2 * s / math.sqrt(3), rel=1e-12)
 
     def test_constant_values_have_zero_halfwidth(self):
         mean, half = mean_ci([0.4, 0.4, 0.4, 0.4])
