@@ -7,7 +7,7 @@ ratings alongside confounder baselines.
 """
 
 from .audio import AudioBuffer, read_wav, write_wav
-from .baselines import BaselineConfig, speech_rate, wada_snr
+from .baselines import speech_rate, wada_snr
 from .decoder import (
     DecodedBeam,
     DecoderConfig,

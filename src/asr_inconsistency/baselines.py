@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -21,23 +20,6 @@ WORDS_PER_MINUTE = "words_per_minute"
 WORDS_PER_SECOND = "words_per_second"
 
 _MAG_FLOOR = 1e-12  # relative to peak; keeps ln|z| finite on zero samples
-
-
-@dataclass(frozen=True)
-class WadaFrameConfig:
-    window: int = 4096
-    hop: int = 2048
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    speech_rate_unit: str = WORDS_PER_MINUTE
-    framewise: bool = False
-    frame: WadaFrameConfig = field(default_factory=WadaFrameConfig)
-
-    def __post_init__(self) -> None:
-        if self.speech_rate_unit not in (WORDS_PER_MINUTE, WORDS_PER_SECOND):
-            raise ValueError(f"unknown speech rate unit {self.speech_rate_unit!r}")
 
 
 def speech_rate(ground_truth: Transcript | None, duration_s: float,
@@ -97,29 +79,12 @@ def _statistic_to_db(stat: float) -> float:
     return float(np.interp(stat, gains, dbs))
 
 
-def wada_snr(audio: AudioBuffer, utterance_id: str = "",
-             *, config: BaselineConfig | None = None) -> ScoreRecord:
-    """Blind SNR estimate assuming Gamma-distributed speech amplitudes in
-    Gaussian noise, via the standard gain-to-SNR lookup.
-
-    Whole-utterance by default; the framewise mode takes the median over
-    sliding windows.
+def wada_snr(audio: AudioBuffer, utterance_id: str = "") -> ScoreRecord:
+    """Blind SNR estimate over the whole utterance, assuming Gamma-distributed
+    speech amplitudes in Gaussian noise, via the standard gain-to-SNR lookup.
     """
-    config = config or BaselineConfig()
     samples = np.asarray(audio.samples, dtype=np.float64)
     if samples.size == 0 or not np.any(samples):
         raise SilentAudioError(f"{utterance_id}: silent or empty audio")
-    if not config.framewise:
-        value = _statistic_to_db(_gain_statistic(samples))
-    else:
-        window, hop = config.frame.window, config.frame.hop
-        estimates = []
-        for start in range(0, max(1, len(samples) - window + 1), hop):
-            chunk = samples[start:start + window]
-            if not np.any(chunk):
-                continue
-            estimates.append(_statistic_to_db(_gain_statistic(chunk)))
-        if not estimates:
-            raise SilentAudioError(f"{utterance_id}: every frame is silent")
-        value = float(np.median(estimates))
+    value = _statistic_to_db(_gain_statistic(samples))
     return ScoreRecord(utterance_id=utterance_id, method="wada_snr", value=value)

@@ -8,17 +8,17 @@ failure detected before any work starts.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
 
-from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND, BaselineConfig
+from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
 from .errors import ToolkitError
 from .harness import (
     EvalConfig,
     LlmSpec,
+    _write_csv,
     llm_accuracy_report,
     render_report_text,
     replay_run_results,
@@ -119,8 +119,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_decoder_config(args) -> DecoderConfig:
-    return DecoderConfig(alpha=args.alpha, beta=args.beta,
-                         beam_width=args.beam_width)
+    try:
+        return DecoderConfig(alpha=args.alpha, beta=args.beta,
+                             beam_width=args.beam_width)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _load_eval_config(args, methods: tuple[str, ...], specs: list[LlmSpec],
+                      **fields) -> EvalConfig:
+    """The EvalConfig of score and eval; an out-of-range flag value is a
+    UsageError, raised before any output is written."""
+    decoder = _load_decoder_config(args)
+    vocab = load_vocabulary(args.vocab)
+    lm = load_arpa(args.lm) if args.lm else None
+    try:
+        return EvalConfig(
+            methods=methods,
+            vocab=vocab,
+            lm=lm,
+            decoder=decoder,
+            llm_models=tuple(specs),
+            llm_runs=args.runs,
+            llm_temperature=args.temperature,
+            language=args.language,
+            base_dir=Path(args.manifest).resolve().parent,
+            **fields,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_llm_specs(args) -> list[LlmSpec]:
@@ -154,9 +181,9 @@ def cmd_decode(args) -> int:
         raise UsageError("choose --greedy and/or --beam")
     if args.beam and not args.lm:
         raise UsageError("--beam needs --lm ARPA_FILE")
+    cfg = _load_decoder_config(args)
     vocab = load_vocabulary(args.vocab)
     lm = load_arpa(args.lm) if args.lm else None
-    cfg = _load_decoder_config(args)
     for path in args.posteriors:
         post = load_posteriors(path, vocab)
         if args.greedy:
@@ -168,17 +195,6 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
 def cmd_score(args) -> int:
     if args.method not in ("ngram", "llm"):
         raise UsageError(f"unknown method {args.method!r} (choose ngram or llm)")
@@ -188,17 +204,7 @@ def cmd_score(args) -> int:
     if len(specs) > 1:
         raise UsageError("score supports a single --model; use eval for several")
 
-    config = EvalConfig(
-        methods=(args.method,),
-        vocab=load_vocabulary(args.vocab),
-        lm=load_arpa(args.lm) if args.lm else None,
-        decoder=_load_decoder_config(args),
-        llm_models=tuple(specs),
-        llm_runs=args.runs,
-        llm_temperature=args.temperature,
-        language=args.language,
-        base_dir=Path(args.manifest).resolve().parent,
-    )
+    config = _load_eval_config(args, (args.method,), specs)
     if specs:
         label = variant_label("llm", specs[0].model_name)
         columns = [f"run_{i}" for i in range(args.runs)]
@@ -232,20 +238,10 @@ def cmd_eval(args) -> int:
         raise UsageError("--methods ngram needs --lm ARPA_FILE")
     specs = _build_llm_specs(args) if "llm" in methods else []
 
-    vocab = load_vocabulary(args.vocab)
-    lm = load_arpa(args.lm) if args.lm else None
-    config = EvalConfig(
-        methods=methods,
-        vocab=vocab,
-        lm=lm,
-        decoder=_load_decoder_config(args),
-        llm_models=tuple(specs),
-        llm_runs=args.runs,
-        llm_temperature=args.temperature,
-        language=args.language,
+    config = _load_eval_config(
+        args, methods, specs,
         dataset_name=args.dataset_name or Path(args.manifest).stem,
-        baseline=BaselineConfig(speech_rate_unit=args.speech_rate_unit),
-        base_dir=Path(args.manifest).resolve().parent,
+        speech_rate_unit=args.speech_rate_unit,
         snapshot={"argv": sys.argv[1:], "manifest": args.manifest,
                   "vocab": args.vocab, "lm": args.lm,
                   "mock": bool(args.mock)},
@@ -263,7 +259,7 @@ def cmd_baselines(args) -> int:
         raise UsageError(f"unknown baseline methods: {', '.join(bad)}")
     config = EvalConfig(
         methods=methods,
-        baseline=BaselineConfig(speech_rate_unit=args.speech_rate_unit),
+        speech_rate_unit=args.speech_rate_unit,
         base_dir=Path(args.manifest).resolve().parent,
     )
     rows = []

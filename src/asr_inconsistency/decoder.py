@@ -112,12 +112,11 @@ def labels_to_words(labels: list[int] | tuple[int, ...], vocab: Vocabulary) -> l
     return words
 
 
-def collapse(raw: RawPath, vocab: Vocabulary,
-             source: TranscriptSource = TranscriptSource.GREEDY) -> Transcript:
-    """Collapse a raw path into a normalized transcript."""
+def collapse(raw: RawPath, vocab: Vocabulary) -> Transcript:
+    """Collapse a raw path into the normalized greedy transcript."""
     labels = collapse_labels(raw.labels, vocab.blank_index)
     words = labels_to_words(labels, vocab)
-    return Transcript.from_raw(" ".join(words), source)
+    return Transcript.from_raw(" ".join(words), TranscriptSource.GREEDY)
 
 
 def fused_score(acoustic_logp: float, lm_logp: float, word_count: int,

@@ -154,7 +154,7 @@ class NonConvergenceError(ToolkitError):
 
 
 class EmptyGroupError(ToolkitError):
-    """A speaker-time group has zero scored utterances."""
+    """A score names an utterance that no speaker-time group holds."""
 
 
 class RatingMismatchError(ToolkitError):

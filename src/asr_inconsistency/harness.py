@@ -14,11 +14,12 @@ import csv
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import read_wav
-from .baselines import BaselineConfig, speech_rate, wada_snr
+from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND, speech_rate, wada_snr
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
 from .errors import (
     EmptyGroupError,
@@ -61,7 +62,7 @@ class EvalConfig:
     llm_temperature: float = 0.0
     language: str = "unknown"
     dataset_name: str = "dataset"
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
+    speech_rate_unit: str = WORDS_PER_MINUTE
     base_dir: Path = field(default_factory=Path.cwd)
     snapshot: dict = field(default_factory=dict)
 
@@ -77,6 +78,10 @@ class EvalConfig:
             raise ValueError("the llm method needs at least one model client")
         if self.llm_runs < 1:
             raise ValueError("llm_runs must be >= 1")
+        if not self.llm_temperature >= 0:
+            raise ValueError("llm_temperature must be >= 0")
+        if self.speech_rate_unit not in (WORDS_PER_MINUTE, WORDS_PER_SECOND):
+            raise ValueError(f"unknown speech rate unit {self.speech_rate_unit!r}")
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,12 @@ def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceRes
                 duration = _resolve_duration(record, config.base_dir)
                 result.scores.append(speech_rate(
                     result.ground_truth, duration, uid,
-                    unit=config.baseline.speech_rate_unit))
+                    unit=config.speech_rate_unit))
             elif method == "wada_snr":
                 if record.audio_path is None:
                     raise MissingDurationError(f"{uid}: no audio_path for wada_snr")
                 buffer = read_wav(config.base_dir / record.audio_path)
-                result.scores.append(wada_snr(buffer, uid, config=config.baseline))
+                result.scores.append(wada_snr(buffer, uid))
             elif method == "reference_wer":
                 result.scores.append(
                     reference_wer(result.greedy, result.ground_truth, uid))
@@ -235,20 +240,15 @@ def variant_label(method: str, model_name: str | None) -> str:
     return f"{method}[{model_name}]" if model_name else method
 
 
-def aggregate_speaker(
-    scores: list[ScoreRecord],
-    manifest: list[UtteranceRecord],
-    *,
-    on_empty: str = "raise",
-) -> list[SpeakerScore]:
+def aggregate_speaker(scores: list[ScoreRecord],
+                      manifest: list[UtteranceRecord]) -> list[SpeakerScore]:
     """Arithmetic mean per (speaker, timepoint, method variant).
 
     Utterances without a score for a variant are simply absent from its
-    mean; a speaker-time with zero scored utterances for a variant raises
-    EmptyGroupError (or is skipped with on_empty="skip").
+    mean; a speaker-time with zero scored utterances for a variant is
+    skipped (and logged). A score for an utterance outside the manifest
+    raises EmptyGroupError.
     """
-    if on_empty not in ("raise", "skip"):
-        raise ValueError("on_empty must be 'raise' or 'skip'")
     by_utterance = {r.utterance_id: r for r in manifest}
     group_keys = sorted({r.group_key for r in manifest})
 
@@ -280,9 +280,6 @@ def aggregate_speaker(
         for key in group_keys:
             values = per_group.get(key)
             if not values:
-                if on_empty == "raise":
-                    raise EmptyGroupError(
-                        f"speaker-time {key} has no {method} scores")
                 log.info("speaker-time %s skipped for %s: no scored utterances",
                          key, method)
                 continue
@@ -381,8 +378,7 @@ def build_report(
                 significant.update((a, b))
 
     rows: list[ReportRow] = []
-    order = {"speech_rate": 0, "wada_snr": 1, "ngram": 2, "llm": 3,
-             "reference_wer": 4}
+    order = {m: i for i, m in enumerate(KNOWN_METHODS)}
     for (method, model) in sorted(by_variant,
                                   key=lambda k: (order.get(k[0], 9), k[1])):
         if method == "llm_accuracy":
@@ -437,11 +433,16 @@ def render_report_text(table: ReportTable) -> str:
     return "\n".join(lines)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fout:
-        writer = csv.writer(fout, lineterminator="\n")
+def _write_csv(path: str | Path | None, header: list[str], rows: list[list]) -> None:
+    """Write a CSV to path, or to stdout when path is None."""
+    out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _cell(value) -> str:
@@ -550,7 +551,7 @@ def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
     n_scored = require_scored(results)
     all_scores = [s for res in results for s in res.scores]
 
-    speaker_scores = aggregate_speaker(all_scores, manifest, on_empty="skip")
+    speaker_scores = aggregate_speaker(all_scores, manifest)
     run_results, notes = correlate(speaker_scores)
     report = build_report(run_results, manifest, config, notes, n_scored)
 
@@ -614,7 +615,7 @@ def _load_utterance_scores(run_dir: Path) -> tuple[list[ScoreRecord],
 def replay_run_results(run_dir: str | Path) -> list[RunResult]:
     """Recompute correlation cells from the persisted per-utterance scores."""
     scores, pseudo_manifest = _load_utterance_scores(Path(run_dir))
-    speaker_scores = aggregate_speaker(scores, pseudo_manifest, on_empty="skip")
+    speaker_scores = aggregate_speaker(scores, pseudo_manifest)
     run_results, _ = correlate(speaker_scores)
     return run_results
 
@@ -646,23 +647,18 @@ def llm_accuracy_report(run_dir: str | Path) -> str:
 
     accuracy = [s for s in scores if s.method == "llm_accuracy"]
     models = sorted({s.model_name or "" for s in accuracy})
-    speaker_scores = aggregate_speaker(scores, pseudo_manifest, on_empty="skip")
+    run_results, _ = correlate(aggregate_speaker(scores, pseudo_manifest))
     for model in models:
         runs = sorted({s.run_index for s in accuracy if s.model_name == model})
-        micros, macros, rs = [], [], []
+        micros, macros = [], []
         for run in runs:
-            sub = [s for s in accuracy
-                   if s.model_name == model and s.run_index == run]
-            mi, ma = micro_macro(sub)
+            mi, ma = micro_macro([s for s in accuracy
+                                  if s.model_name == model and s.run_index == run])
             micros.append(mi)
             macros.append(ma)
-            points = [(s.mean_value, s.rating) for s in speaker_scores
-                      if s.method == "llm_accuracy" and s.model_name == model
-                      and s.run_index == run and s.rating is not None]
-            try:
-                rs.append(pearson([v for v, _ in points], [g for _, g in points]))
-            except ToolkitError:
-                pass
+        # correlate orders each model's runs by run index
+        rs = [rr.pearson_r for rr in run_results
+              if rr.method == "llm_accuracy" and rr.model_name == model]
         micro = sum(micros) / len(micros)
         macro = sum(macros) / len(macros)
         lines.append(f"corrected[{model}] WER: micro {micro:.4f}  "

@@ -63,12 +63,6 @@ class ScoreRecord:
         if self.method in WER_METHODS and self.value < 0:
             raise ValueError(f"{self.method} score must be >= 0")
 
-    @property
-    def method_label(self) -> str:
-        if self.model_name:
-            return f"{self.method}[{self.model_name}]"
-        return self.method
-
 
 def align_words(hyp: list[str] | tuple[str, ...],
                 ref: list[str] | tuple[str, ...]) -> EditAlignment:
@@ -123,16 +117,14 @@ def align_words(hyp: list[str] | tuple[str, ...],
     return EditAlignment(tuple(ops), n_match, n_sub, n_ins, n_del, h, r)
 
 
-def wer(alignment: EditAlignment, *, empty_ref_cap: float = 1.0) -> float:
+def wer(alignment: EditAlignment) -> float:
     """(substitutions + insertions + deletions) / reference length.
 
-    An empty reference against a non-empty hypothesis is capped (default 1.0)
-    instead of dividing by zero.
+    An empty reference against a non-empty hypothesis scores 1.0 instead of
+    dividing by zero.
     """
     if alignment.ref_len == 0:
-        if alignment.hyp_len == 0:
-            return 0.0
-        return min(float(alignment.hyp_len), empty_ref_cap)
+        return 0.0 if alignment.hyp_len == 0 else 1.0
     return alignment.cost / alignment.ref_len
 
 

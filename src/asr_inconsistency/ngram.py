@@ -21,7 +21,8 @@ from .errors import (
 )
 
 LN10 = math.log(10.0)
-DEFAULT_OOV_FLOOR_LN = math.log(1e-10)
+# ln P of a word the model has no entry for, when it has no <unk> either
+OOV_FLOOR_LN = math.log(1e-10)
 
 BOS = "<s>"
 EOS = "</s>"
@@ -35,7 +36,6 @@ NGramTable = dict[tuple[str, ...], tuple[float, float | None]]
 class NGramModel:
     order: int
     tables: tuple[NGramTable, ...]
-    oov_floor_ln: float = DEFAULT_OOV_FLOOR_LN
     unk_token: str | None = field(init=False, default=None)
     has_bos: bool = field(init=False, default=False)
     has_eos: bool = field(init=False, default=False)
@@ -58,7 +58,7 @@ class NGramModel:
         word = self._fold(word)
         if (word,) not in self.tables[0]:
             if self.unk_token is None:
-                return self.oov_floor_ln
+                return OOV_FLOOR_LN
             word = self.unk_token
         history = tuple(self._fold(w) for w in history)
         if self.order > 1:
@@ -113,7 +113,7 @@ class NGramModel:
             # word was already mapped to <unk>/floor in word_logprob; reaching
             # here means an in-vocabulary word without a unigram entry, which
             # a well-formed model cannot produce
-            return self.oov_floor_ln / LN10
+            return OOV_FLOOR_LN / LN10
         back = self.tables[n - 2].get(ngram[:-1])
         weight = back[1] if back is not None and back[1] is not None else 0.0
         return weight + self._logprob10(ngram[1:])
@@ -123,7 +123,7 @@ _NGRAM_COUNT_RE = re.compile(r"^ngram\s+(\d+)\s*=\s*(\d+)$")
 _SECTION_RE = re.compile(r"^\\(\d+)-grams:$")
 
 
-def parse_arpa(text: str, *, oov_floor_ln: float = DEFAULT_OOV_FLOOR_LN) -> NGramModel:
+def parse_arpa(text: str) -> NGramModel:
     """Parse ARPA text into an NGramModel, verifying declared counts."""
     lines = text.splitlines()
     i = 0
@@ -197,15 +197,15 @@ def parse_arpa(text: str, *, oov_floor_ln: float = DEFAULT_OOV_FLOOR_LN) -> NGra
             raise CountMismatchError(
                 f"declared {declared} {n}-grams, found {actual}")
 
-    return NGramModel(order=order, tables=tuple(tables), oov_floor_ln=oov_floor_ln)
+    return NGramModel(order=order, tables=tuple(tables))
 
 
-def load_arpa(path: str | Path, *, oov_floor_ln: float = DEFAULT_OOV_FLOOR_LN) -> NGramModel:
+def load_arpa(path: str | Path) -> NGramModel:
     """Load an ARPA file, transparently decompressing gzip."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
-    return parse_arpa(raw.decode("utf-8"), oov_floor_ln=oov_floor_ln)
+    return parse_arpa(raw.decode("utf-8"))
 
 
 def write_arpa(model: NGramModel) -> str:

@@ -34,29 +34,23 @@ class PosteriorMatrix:
     frames: np.ndarray  # (T, V) float64 natural-log probabilities, read-only
 
     @classmethod
-    def from_array(
-        cls,
-        utterance_id: str,
-        array: np.ndarray,
-        *,
-        validate: bool = True,
-        row_sum_tol: float = ROW_SUM_TOL,
-    ) -> "PosteriorMatrix":
+    def from_array(cls, utterance_id: str, array: np.ndarray) -> "PosteriorMatrix":
+        """Validated, read-only copy: finite, no positive entry, and every
+        row's probabilities sum to 1 within ROW_SUM_TOL."""
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise PosteriorFormatError(
                 f"{utterance_id}: expected a T x V matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntryError(f"{utterance_id}: non-finite log-probability")
-        if validate:
-            if np.any(arr > 0.0):
-                raise PositiveLogProbError(
-                    f"{utterance_id}: positive log-probability entry")
-            sums = np.exp(arr).sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > row_sum_tol)[0]
-            if bad.size:
-                raise RowNotNormalizedError(
-                    f"{utterance_id}: row {bad[0]} sums to {sums[bad[0]]:.6f}")
+        if np.any(arr > 0.0):
+            raise PositiveLogProbError(
+                f"{utterance_id}: positive log-probability entry")
+        sums = np.exp(arr).sum(axis=1)
+        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+        if bad.size:
+            raise RowNotNormalizedError(
+                f"{utterance_id}: row {bad[0]} sums to {sums[bad[0]]:.6f}")
         arr = arr.copy()
         arr.setflags(write=False)
         return cls(utterance_id=utterance_id, frames=arr)
@@ -70,12 +64,7 @@ class PosteriorMatrix:
         return int(self.frames.shape[1])
 
 
-def load_posteriors(
-    path: str | Path,
-    vocab: Vocabulary,
-    *,
-    validate: bool = True,
-) -> PosteriorMatrix:
+def load_posteriors(path: str | Path, vocab: Vocabulary) -> PosteriorMatrix:
     """Load a posterior file (binary CTCP or text), checking it against vocab.
 
     The utterance id is taken from the file stem.
@@ -89,7 +78,7 @@ def load_posteriors(
     if arr.shape[1] != len(vocab):
         raise DimensionMismatchError(
             f"{path}: {arr.shape[1]} columns vs vocabulary of {len(vocab)}")
-    return PosteriorMatrix.from_array(path.stem, arr, validate=validate)
+    return PosteriorMatrix.from_array(path.stem, arr)
 
 
 def write_posteriors(matrix: PosteriorMatrix, path: str | Path, fmt: str = "ctcp") -> None:

@@ -5,7 +5,6 @@ import pytest
 
 from asr_inconsistency import (
     AudioBuffer,
-    BaselineConfig,
     Transcript,
     TranscriptSource,
     speech_rate,
@@ -104,10 +103,3 @@ class TestWadaSnr:
                       for _ in range(5)]
             means.append(float(np.mean(trials)))
         assert all(b >= a for a, b in zip(means, means[1:]))
-
-    def test_framewise_mode_runs(self):
-        rng = np.random.default_rng(105)
-        mix = gamma_noise_mix(rng, 16000, 10.0)
-        config = BaselineConfig(framewise=True)
-        est = wada_snr(AudioBuffer(mix, 16000), config=config).value
-        assert -20.0 <= est <= 100.0

@@ -9,6 +9,7 @@ import pytest
 
 import asr_inconsistency
 from asr_inconsistency.cli import main
+from asr_inconsistency.harness import replay_run_results
 
 
 def run_cli(capsys, *args):
@@ -45,16 +46,21 @@ def eval_values(synthetic_corpus, tmp_path_factory):
                 for r in csv.DictReader(fin)}
 
 
-def test_cli_import_loads_no_scipy_or_requests():
-    # a fresh interpreter, so modules other tests imported do not count
+def child_env():
+    """The environment for a fresh interpreter that imports this package."""
     src = str(Path(asr_inconsistency.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_scipy_or_requests():
+    # a fresh interpreter, so modules other tests imported do not count
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, asr_inconsistency.cli; "
          "print(sorted({'scipy', 'requests'} & set(sys.modules)))"],
-        env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+        env=child_env(), check=True, capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
 
 
@@ -221,6 +227,42 @@ class TestEval:
         assert code == 2
 
 
+# one out-of-range flag value each; {out} is where the output would go
+BAD_FLAG_VALUES = {
+    "score_beam_width": "score --manifest {manifest} --vocab {vocab} "
+                        "--method ngram --lm {lm} --beam-width 0 --out {out}",
+    "eval_runs": "eval --manifest {manifest} --vocab {vocab} "
+                 "--methods reference_wer --runs 0 --out {out}",
+    "eval_alpha": "eval --manifest {manifest} --vocab {vocab} "
+                  "--methods ngram --lm {lm} --alpha -1 --out {out}",
+    "decode_beam_width": "decode --vocab {vocab} --beam --lm {lm} "
+                         "--beam-width 0 {post}",
+    "eval_llm_temperature": "eval --manifest {manifest} --vocab {vocab} "
+                            "--methods llm --mock --temperature -1 --out {out}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAG_VALUES))
+def test_bad_flag_value_is_usage_error_before_any_output(synthetic_corpus,
+                                                         tmp_path, case):
+    out = tmp_path / "out"
+    argv = [arg.format(manifest=synthetic_corpus.manifest_path,
+                       vocab=synthetic_corpus.vocab_path,
+                       lm=synthetic_corpus.lm_path, out=out,
+                       post=synthetic_corpus.root / "post" / "spk00_utt00.ctcp")
+            for arg in BAD_FLAG_VALUES[case].split()]
+    # a fresh interpreter, so stderr is exactly what a user would see
+    proc = subprocess.run([sys.executable, "-m", "asr_inconsistency.cli", *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 class TestGoldenReport:
     def test_mock_eval_report_matches_golden_byte_for_byte(self, synthetic_corpus,
                                                            tmp_path, capsys):
@@ -304,6 +346,27 @@ class TestBaselinesAndReport:
         rows = list(csv.DictReader(out_csv.open()))
         assert len(rows) == 8
         assert all(r["value"] == "" and r["error"] for r in rows)
+
+    def test_llm_accuracy_r_is_the_mean_of_correlated_runs(self, synthetic_corpus,
+                                                           tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "eval",
+                             "--manifest", str(synthetic_corpus.manifest_path),
+                             "--vocab", str(synthetic_corpus.vocab_path),
+                             "--methods", "llm,reference_wer",
+                             "--mock", "--model", "half", "--model", "echo",
+                             "--mock-replies", str(synthetic_corpus.mock_half_fix_path),
+                             "--runs", "2", "--out", str(run_dir))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "report", str(run_dir), "--llm-accuracy")
+        assert code == 0
+        run_results = replay_run_results(run_dir)
+        for model in ("half", "echo"):
+            rs = [rr.pearson_r for rr in run_results
+                  if rr.method == "llm_accuracy" and rr.model_name == model]
+            assert len(rs) == 2
+            assert (f"corrected[{model}] r vs ratings: "
+                    f"{sum(rs) / len(rs):.4f} over 2 runs\n") in out
 
     def test_report_on_non_run_dir_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path))

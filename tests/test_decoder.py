@@ -55,7 +55,7 @@ class TestGreedy:
         logs = random_log_matrix(rng, 5, 4)
         shifted = logs + rng.uniform(0.5, 2.0, size=(5, 1))
         a = greedy_decode(PosteriorMatrix.from_array("u", logs))
-        b = greedy_decode(PosteriorMatrix.from_array("u", shifted, validate=False))
+        b = greedy_decode(PosteriorMatrix("u", shifted))
         assert a.labels == b.labels
 
 

@@ -60,14 +60,9 @@ class TestAggregateSpeaker:
         assert out[0].mean_value == 0.5
         assert out[0].n_utterances == 1
 
-    def test_empty_group_raises_by_default(self):
-        manifest = [record("u1", "A"), record("u2", "B")]
-        with pytest.raises(EmptyGroupError):
-            aggregate_speaker([score("u1", 0.5)], manifest)
-
     def test_empty_group_skippable(self):
         manifest = [record("u1", "A"), record("u2", "B")]
-        out = aggregate_speaker([score("u1", 0.5)], manifest, on_empty="skip")
+        out = aggregate_speaker([score("u1", 0.5)], manifest)
         assert [s.speaker_id for s in out] == ["A"]
 
     def test_timepoints_are_separate_groups(self):
@@ -331,6 +326,15 @@ class TestEvalConfig:
         with pytest.raises(ValueError, match="vocabulary"):
             EvalConfig(methods=(method,), vocab=None, lm=bigram_model,
                        llm_models=(LlmSpec("m", MockCorrector()),))
+
+    def test_unknown_speech_rate_unit_rejected(self):
+        with pytest.raises(ValueError, match="speech rate unit"):
+            EvalConfig(methods=("speech_rate",), speech_rate_unit="words_per_hour")
+
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan")])
+    def test_negative_or_nan_llm_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="llm_temperature"):
+            EvalConfig(methods=("speech_rate",), llm_temperature=temperature)
 
 
 class TestScoreUtterance:

@@ -118,7 +118,6 @@ class TestWer:
     def test_empty_ref_nonempty_hyp_capped(self):
         alignment = align_words(["a", "b", "c"], [])
         assert wer(alignment) == 1.0
-        assert wer(alignment, empty_ref_cap=2.0) == 2.0
 
 
 class TestInconsistencyScore:

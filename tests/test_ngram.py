@@ -11,7 +11,7 @@ from asr_inconsistency.errors import (
     EmptySequenceError,
     TruncatedModelError,
 )
-from asr_inconsistency.ngram import DEFAULT_OOV_FLOOR_LN, LN10
+from asr_inconsistency.ngram import OOV_FLOOR_LN, LN10
 
 UNIGRAM_ARPA = """\
 \\data\\
@@ -80,8 +80,8 @@ class TestBackoffQueries:
         assert bigram_model.word_logprob("c", ("b",)) == pytest.approx(expected, abs=1e-12)
 
     def test_oov_without_unk_hits_floor(self, bigram_model):
-        assert bigram_model.word_logprob("zebra") == DEFAULT_OOV_FLOOR_LN
-        assert bigram_model.word_logprob("zebra", ("a",)) == DEFAULT_OOV_FLOOR_LN
+        assert bigram_model.word_logprob("zebra") == OOV_FLOOR_LN
+        assert bigram_model.word_logprob("zebra", ("a",)) == OOV_FLOOR_LN
 
     def test_queries_are_case_folded(self, bigram_model):
         assert bigram_model.word_logprob("B", ("A",)) == \
@@ -112,7 +112,7 @@ class TestSequenceScoring:
             math.log(0.5), abs=1e-12)
 
     def test_single_oov_word(self, bigram_model):
-        assert bigram_model.sequence_logprob(["zebra"]) == DEFAULT_OOV_FLOOR_LN
+        assert bigram_model.sequence_logprob(["zebra"]) == OOV_FLOOR_LN
 
     def test_empty_sequence_rejected(self, bigram_model):
         with pytest.raises(EmptySequenceError):

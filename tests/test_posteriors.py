@@ -56,12 +56,6 @@ def test_positive_logprob_rejected():
         PosteriorMatrix.from_array("x", arr)
 
 
-def test_validation_can_be_disabled():
-    arr = np.full((2, 5), 1.5)  # nonsense rows, but finite
-    post = PosteriorMatrix.from_array("x", arr, validate=False)
-    assert post.frame_count == 2
-
-
 def test_bad_magic_rejected(tmp_path, abc_vocab):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
