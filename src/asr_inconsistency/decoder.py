@@ -7,21 +7,31 @@ separate probability mass for paths ending in blank vs. non-blank, merged
 by log-sum-exp, with a word-level language model fused in at every word
 boundary and once more at the end of the utterance.
 
-Children are built lazily. Each frame scores every extension of every
-surviving prefix as a plain mass in one array. An extension whose prefix is
-already in the beam is merged into that prefix's slot, which is found
-through a prefix trie rather than by hashing tuples. Every other extension
-is a new child, and its mass is that single term. Then the frame's best
-total is known before any child exists, and the floor (best total plus
-`prune_logp_floor`) drops exactly the children the full search would have
-built and dropped. Prefix tuples, partial words and LM states are built
-only for the `beam_width` survivors. `lm.advance` runs for a word boundary
-that survives the floor, and is cached per (LM state, word).
+The beam is a struct of arrays. Each surviving prefix is one slot, and
+each per-slot value (the two masses, LM log-prob and word count, trie node,
+parent node and last symbol, interned LM state) is one entry of a numpy
+array, so a frame's bookkeeping is array operations, not a Python loop over
+the slots. The frame scores every extension of every slot as a plain mass
+in one (slots x symbols) array. An extension whose prefix is already in the
+beam merges into that prefix's slot, which is the slot whose parent node is
+the extended slot's node. Every other extension is a new child whose mass
+is that single term. So the frame's best total is known before any child
+exists, and the floor (best total plus `prune_logp_floor`) drops exactly
+the children the full search would have built and dropped. Only the
+`beam_width` survivors become Python objects: prefix tuples and partial
+words are lists gathered by survivor index.
+
+A delimiter child completes its parent's partial word and scores it with
+the LM. Each slot carries that score, ln P and the next LM state, from the
+first frame its delimiter child passes the floor until its partial word
+changes. `lm.advance` runs once per (LM state, word) in a search.
 
 The search is still exact. A prefix's mass has at most two non-blank terms
 (a repeat of its last symbol and an extension of its parent prefix) and one
-blank term, and log-sum-exp of two terms does not depend on their order. So
-the masses, scores and tie-breaks equal those of building every child.
+blank term, and log-sum-exp of two terms does not depend on their order.
+`np.logaddexp` gives the bits of the scalar max + log1p(exp(min - max)), and
+the scores follow `fused_score`'s order of operations element by element.
+So the masses, scores and tie-breaks equal those of building every child.
 """
 
 from __future__ import annotations
@@ -38,16 +48,6 @@ from .transcript import Transcript, TranscriptSource
 from .vocab import Vocabulary
 
 NEG_INF = float("-inf")
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,11 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if math.isnan(self.beta):
-            raise ValueError("beta must be a number")
+        # an infinite weight turns the scores into inf or NaN (inf * 0.0)
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise ValueError("alpha must be a finite number >= 0")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be a finite number")
         # a positive or NaN floor would prune every hypothesis, the best too
         if not self.prune_logp_floor <= 0:
             raise ValueError("prune_logp_floor must be <= 0")
@@ -138,17 +139,30 @@ class DecodedBeam:
 
 
 def _memoised_advance(lm: NGramModel | None):
-    """lm.advance cached per (LM state, word) for one search."""
-    cache: dict[tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]] = {}
+    """lm.advance cached per (LM state, word) for one search.
 
-    def advance(state: tuple[str, ...], word: str) -> tuple[float, tuple[str, ...]]:
-        key = (state, word)
+    LM states are interned, so the search carries each as a small int:
+    `advance(state_id, word)` returns (ln P(word | state), next state id),
+    and `states[state_id]` is the state tuple itself.
+    """
+    states = [lm.initial_context() if lm is not None else ()]
+    state_ids = {states[0]: 0}
+    cache: dict[tuple[int, str], tuple[float, int]] = {}
+
+    def advance(state_id: int, word: str) -> tuple[float, int]:
+        key = (state_id, word)
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = lm.advance(state, word) if lm is not None else (0.0, ())
+            word_lp, state = (lm.advance(states[state_id], word) if lm is not None
+                              else (0.0, ()))
+            next_id = state_ids.get(state)
+            if next_id is None:
+                next_id = state_ids[state] = len(states)
+                states.append(state)
+            hit = cache[key] = (word_lp, next_id)
         return hit
 
-    return advance
+    return advance, states
 
 
 def _top(scores: np.ndarray, width: int, prefix_of) -> list[int]:
@@ -178,131 +192,156 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
     delim = vocab.delimiter_index
     symbols = vocab.symbols
     n_symbols = len(symbols)
-    advance = _memoised_advance(lm)
+    alpha, beta = cfg.alpha, cfg.beta
+    advance, lm_states = _memoised_advance(lm)
     # node ids of a prefix trie kept for this call: a prefix's node is
-    # node_of[(node of prefix[:-1], last symbol)]
-    node_of: dict[tuple[int, int], int] = {}
-    node_parent = [-1]
+    # node_of[node of prefix[:-1] * n_symbols + last symbol]; the empty
+    # prefix is node 0
+    node_of: dict[int, int] = {}
 
-    # one slot per surviving prefix: (prefix, mass ending in blank, mass
-    # ending in the last symbol, LM state, ln P of completed words, word
-    # count, partial word, trie node)
-    ctx0 = lm.initial_context() if lm is not None else ()
-    beam = [((), 0.0, NEG_INF, ctx0, 0.0, 0, "", 0)]
+    # The beam, one entry per slot in each array: mass ending in blank and
+    # mass ending in the last symbol; ln P of the completed words and their
+    # count; the prefix's trie node, its parent's node and its last symbol
+    # (-1 for the empty prefix); the interned LM state; whether the partial
+    # word is non-empty; and what closing that partial word with a
+    # delimiter adds, ln P and the next LM state, looked up the first time
+    # the slot's delimiter child passes the floor (NaN and -1 until then).
+    # Prefix tuples and partial words stay Python lists.
+    logp_b = np.zeros(1)
+    logp_nb = np.full(1, NEG_INF)
+    lm_logp = np.zeros(1)
+    words = np.zeros(1, dtype=np.int64)
+    node = np.zeros(1, dtype=np.int64)
+    parent = np.full(1, -1, dtype=np.int64)
+    last = np.full(1, -1, dtype=np.int64)
+    state = np.zeros(1, dtype=np.int64)
+    open_word = np.zeros(1, dtype=bool)
+    close_lp = np.full(1, np.nan)
+    close_state = np.full(1, -1, dtype=np.int64)
+    prefixes: list[tuple[int, ...]] = [()]
+    partials = [""]
 
     for t in range(post.frame_count):
         row = post.frames[t]
-        row_list = row.tolist()
-        (prefixes, logp_blank, logp_nonblank, lm_states, lm_logps,
-         word_counts, partial_words, nodes) = zip(*beam)
-        n = len(beam)
-        totals = [_logaddexp(b, nb) for b, nb in zip(logp_blank, logp_nonblank)]
-        if max(totals) == NEG_INF:
+        n = len(prefixes)
+        totals = np.logaddexp(logp_b, logp_nb)
+        if totals.max() == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: no surviving hypothesis")
-        lasts = [p[-1] if p else -1 for p in prefixes]
 
-        # a blank, or a repeat of the last symbol, keeps a slot's prefix
-        keep_blank = [tot + row_list[blank] for tot in totals]
-        keep_nonblank = [nb + row_list[k] if k >= 0 else NEG_INF
-                         for nb, k in zip(logp_nonblank, lasts)]
-        keep_exists = [tot != NEG_INF for tot in totals]
+        # a blank, or a repeat of the last symbol, keeps a slot's prefix (the
+        # empty prefix's non-blank mass is -inf, so row[-1] adds nothing)
+        keep_b = totals + row[blank]
+        keep_nb = logp_nb + row[last]
+        keep_exists = totals != NEG_INF
 
         # extending slot i with symbol k draws on all of its mass, or only on
         # the blank-ending mass when k repeats its last symbol
-        src = np.repeat(np.array(totals), n_symbols).reshape(n, n_symbols)
-        ends = [i for i in range(n) if lasts[i] >= 0]
-        src[ends, [lasts[i] for i in ends]] = [logp_blank[i] for i in ends]
+        src = np.repeat(totals, n_symbols).reshape(n, n_symbols)
+        ends = np.flatnonzero(last >= 0)
+        src[ends, last[ends]] = logp_b[ends]
         src[:, blank] = NEG_INF
         ext = src + row
 
         # an extension whose prefix is already in the beam merges into that
-        # slot: slot j's prefix extends the slot holding prefix[:-1]
-        slot_of = dict(zip(nodes, range(n)))
-        merged = [j for j in range(n) if node_parent[nodes[j]] in slot_of]
-        if merged:
-            rows = [slot_of[node_parent[nodes[j]]] for j in merged]
-            cols = [lasts[j] for j in merged]
-            for j, s, e in zip(merged, src[rows, cols].tolist(), ext[rows, cols].tolist()):
-                if s != NEG_INF:
-                    keep_nonblank[j] = _logaddexp(keep_nonblank[j], e)
-                    keep_exists[j] = True
-            src[rows, cols] = NEG_INF
-        keep_totals = [_logaddexp(b, nb) for b, nb in zip(keep_blank, keep_nonblank)]
+        # slot: slot j's prefix extends the slot whose node is j's parent
+        by_node = np.argsort(node)
+        at = np.minimum(np.searchsorted(node[by_node], parent), n - 1)
+        merged = np.flatnonzero(node[by_node[at]] == parent)
+        if merged.size:
+            rows = by_node[at[merged]]
+            cols = last[merged]
+            live = src[rows, cols] != NEG_INF
+            into = merged[live]
+            keep_nb[into] = np.logaddexp(keep_nb[into], ext[rows[live], cols[live]])
+            keep_exists[into] = True
+            src[rows, cols] = ext[rows, cols] = NEG_INF
+        keep_totals = np.logaddexp(keep_b, keep_nb)
 
         # every other extension is a new child whose mass is one term, so
-        # the frame's best total is known before any child is built
+        # the frame's best total is known before any child is built (ext is
+        # -inf wherever src is)
         is_new = src != NEG_INF
-        best_total = max((tot for tot, ok in zip(keep_totals, keep_exists) if ok),
-                         default=NEG_INF)
-        if is_new.any():
-            best_total = max(best_total, float(ext[is_new].max()))
+        best_total = float(max(keep_totals.max(initial=NEG_INF, where=keep_exists),
+                               ext.max()))
         if best_total == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: all hypotheses at -inf mass")
         floor = best_total + cfg.prune_logp_floor
 
-        kept = [j for j in range(n) if keep_exists[j] and keep_totals[j] >= floor]
+        kept = np.flatnonzero(keep_exists & (keep_totals >= floor))
         flat = np.flatnonzero(is_new & (ext >= floor))
-        parent_of = (flat // n_symbols).tolist()
-        child_symbols = flat % n_symbols
-        symbol_of = child_symbols.tolist()
+        child_parent = flat // n_symbols
+        child_symbol = flat - child_parent * n_symbols
         child_logp = ext.ravel()[flat]
+        child_lm = lm_logp[child_parent]
+        child_words = words[child_parent]
+        # a word boundary completes the parent's partial word and scores it
+        closing = np.flatnonzero((child_symbol == delim) & open_word[child_parent])
+        if closing.size:
+            closer = child_parent[closing]
+            todo = closer[np.isnan(close_lp[closer])]
+            if todo.size:
+                looked_up = [advance(s, partials[i])
+                             for s, i in zip(state[todo].tolist(), todo.tolist())]
+                close_lp[todo] = [word_lp for word_lp, _ in looked_up]
+                close_state[todo] = [s for _, s in looked_up]
+            child_lm[closing] += close_lp[closer]
+            child_words[closing] += 1
         # fused_score, element by element in the same order of operations
-        child_scores = (child_logp + (cfg.alpha * np.array(lm_logps))[parent_of]
-                        + (cfg.beta * np.array(word_counts))[parent_of])
-        # a word boundary completes the partial word and scores it
-        for c in np.flatnonzero(child_symbols == delim).tolist():
-            i = parent_of[c]
-            if partial_words[i]:
-                word_lp, _ = advance(lm_states[i], partial_words[i])
-                child_scores[c] = fused_score(float(child_logp[c]), lm_logps[i] + word_lp,
-                                              word_counts[i] + 1, cfg)
-        child_logp = child_logp.tolist()
-
-        n_kept = len(kept)
         scores = np.concatenate((
-            [fused_score(keep_totals[j], lm_logps[j], word_counts[j], cfg) for j in kept],
-            child_scores))
+            keep_totals[kept] + alpha * lm_logp[kept] + beta * words[kept],
+            child_logp + alpha * child_lm + beta * child_words))
+        n_kept = len(kept)
 
         def prefix_of(c: int) -> tuple[int, ...]:
             if c < n_kept:
-                return prefixes[kept[c]]
-            return prefixes[parent_of[c - n_kept]] + (symbol_of[c - n_kept],)
-
-        beam = []
-        for c in _top(scores, cfg.beam_width, prefix_of):
-            if c < n_kept:
-                j = kept[c]
-                beam.append((prefixes[j], keep_blank[j], keep_nonblank[j], lm_states[j],
-                             lm_logps[j], word_counts[j], partial_words[j], nodes[j]))
-                continue
+                return prefixes[kept.item(c)]
             c -= n_kept
-            i, k = parent_of[c], symbol_of[c]
-            state, lm_logp, word_count = lm_states[i], lm_logps[i], word_counts[i]
-            partial = partial_words[i]
-            if k != delim:
-                partial += symbols[k]
-            elif partial:
-                word_lp, state = advance(state, partial)
-                lm_logp += word_lp
-                word_count += 1
-                partial = ""
-            node = node_of.get((nodes[i], k))
-            if node is None:
-                node = node_of[(nodes[i], k)] = len(node_parent)
-                node_parent.append(nodes[i])
-            beam.append((prefixes[i] + (k,), NEG_INF, child_logp[c], state,
-                         lm_logp, word_count, partial, node))
+            return prefixes[child_parent.item(c)] + (child_symbol.item(c),)
+
+        chosen = np.sort(_top(scores, cfg.beam_width, prefix_of))
+        split = np.searchsorted(chosen, n_kept)
+        stay = kept[chosen[:split]]
+        born = chosen[split:] - n_kept
+        born_parent = child_parent[born]
+        born_symbol = child_symbol[born]
+        closes = born_symbol == delim
+
+        logp_b = np.concatenate((keep_b[stay], np.full(len(born), NEG_INF)))
+        logp_nb = np.concatenate((keep_nb[stay], child_logp[born]))
+        lm_logp = np.concatenate((lm_logp[stay], child_lm[born]))
+        words = np.concatenate((words[stay], child_words[born]))
+        parent_node = node[born_parent]
+        parent = np.concatenate((parent[stay], parent_node))
+        last = np.concatenate((last[stay], born_symbol))
+        state = np.concatenate((
+            state[stay],
+            np.where(closes & open_word[born_parent], close_state[born_parent],
+                     state[born_parent])))
+        open_word = np.concatenate((open_word[stay], ~closes))
+        close_lp = np.concatenate((close_lp[stay], np.full(len(born), np.nan)))
+        close_state = np.concatenate((close_state[stay], np.full(len(born), -1)))
+
+        stay_l = stay.tolist()
+        born_l = list(zip(born_parent.tolist(), born_symbol.tolist()))
+        node = np.concatenate((node[stay], [
+            node_of.setdefault(key, len(node_of) + 1)
+            for key in (parent_node * n_symbols + born_symbol).tolist()]))
+        prefixes = ([prefixes[j] for j in stay_l]
+                    + [prefixes[i] + (k,) for i, k in born_l])
+        partials = ([partials[j] for j in stay_l]
+                    + [partials[i] + symbols[k] if k != delim else "" for i, k in born_l])
 
     finished: list[DecodedBeam] = []
-    for prefix, logp_b, logp_nb, state, lm_total, word_count, partial, _ in beam:
-        total = _logaddexp(logp_b, logp_nb)
+    for prefix, total, lm_total, word_count, state_id, partial in zip(
+            prefixes, np.logaddexp(logp_b, logp_nb).tolist(), lm_logp.tolist(),
+            words.tolist(), state.tolist(), partials):
         if partial:
             if lm is not None:
-                word_lp, state = advance(state, partial)
+                word_lp, state_id = advance(state_id, partial)
                 lm_total += word_lp
             word_count += 1
         if lm is not None:
-            lm_total += lm.final_logprob(state)
+            lm_total += lm.final_logprob(lm_states[state_id])
         finished.append(DecodedBeam(
             prefix=prefix,
             words=tuple(labels_to_words(prefix, vocab)),

@@ -76,6 +76,8 @@ class EvalConfig:
             raise ValueError("the ngram method needs a language model")
         if "llm" in self.methods and not self.llm_models:
             raise ValueError("the llm method needs at least one model client")
+        if any(not spec.model_name for spec in self.llm_models):
+            raise ValueError("an llm model name must not be empty")
         if self.llm_runs < 1:
             raise ValueError("llm_runs must be >= 1")
         if not self.llm_temperature >= 0:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,12 @@ BAD_FLAG_VALUES = {
                          "--beam-width 0 {post}",
     "eval_llm_temperature": "eval --manifest {manifest} --vocab {vocab} "
                             "--methods llm --mock --temperature -1 --out {out}",
+    "score_alpha_inf": "score --manifest {manifest} --vocab {vocab} "
+                       "--method ngram --lm {lm} --alpha inf --out {out}",
+    "decode_beta_inf": "decode --vocab {vocab} --beam --lm {lm} --beta inf {post}",
+    "eval_empty_model": "eval --manifest {manifest} --vocab {vocab} "
+                        "--methods llm,reference_wer --mock --model '' --runs 1 "
+                        "--out {out}",
 }
 
 
@@ -250,7 +257,7 @@ def test_bad_flag_value_is_usage_error_before_any_output(synthetic_corpus,
                        vocab=synthetic_corpus.vocab_path,
                        lm=synthetic_corpus.lm_path, out=out,
                        post=synthetic_corpus.root / "post" / "spk00_utt00.ctcp")
-            for arg in BAD_FLAG_VALUES[case].split()]
+            for arg in shlex.split(BAD_FLAG_VALUES[case])]
     # a fresh interpreter, so stderr is exactly what a user would see
     proc = subprocess.run([sys.executable, "-m", "asr_inconsistency.cli", *argv],
                           env=child_env(), capture_output=True, text=True,

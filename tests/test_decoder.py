@@ -277,6 +277,9 @@ class TestDecoderConfigValidation:
         {"alpha": -0.1},
         {"alpha": math.nan},
         {"beta": math.nan},
+        {"alpha": math.inf},
+        {"beta": math.inf},
+        {"beta": -math.inf},
         {"prune_logp_floor": 1.0},
         {"prune_logp_floor": math.nan},
     ])
@@ -375,6 +378,51 @@ class TestLazySearchMatchesReference:
         expected = oracles.reference_decode_beams(padded, vocab, lm, cfg)
         assert len(expected) == cfg.beam_width
         assert decode_beams(padded, vocab, lm, cfg) == expected
+
+
+class TestArraySearchOnLongerInputs:
+    """Longer inputs under narrow beams: prefixes leave the beam and come
+    back, so a returning prefix must get its old trie node, and the word
+    boundary value a slot carries must belong to that slot's partial word."""
+
+    def test_long_narrow_cases_equal_the_reference_exactly(self, abc_vocab, bigram_model):
+        rng = np.random.default_rng(2873)
+        settings = itertools.product((1, 2, 3, 8), (-3.0, float("-inf")),
+                                     ((0.3, 0.5), (1.0, 0.0)), (None, bigram_model))
+        cases = 0
+        for width, floor, (alpha, beta), lm in settings:
+            cfg = DecoderConfig(alpha=alpha, beta=beta, beam_width=width,
+                                prune_logp_floor=floor)
+            for kind in ("dirichlet", "uniform", "quantised", "peaked", "tiny", "holes"):
+                v = int(rng.integers(3, 6))
+                vocab = Vocabulary(abc_vocab.symbols[:v], 0, 1)
+                logs = _random_rows(rng, kind, int(rng.integers(20, 41)), v)
+                post = (PosteriorMatrix("u", logs) if kind == "holes"
+                        else PosteriorMatrix.from_array("u", logs))
+                expected = _decode_or_error(
+                    oracles.reference_decode_beams, post, vocab, lm, cfg)
+                assert _decode_or_error(decode_beams, post, vocab, lm, cfg) == expected, \
+                    (kind, cfg, lm is not None)
+                cases += 1
+        assert cases == 192
+
+    @pytest.mark.parametrize("use_lm", [False, True])
+    def test_beam_fields_are_python_values(self, abc_vocab, bigram_model, use_lm):
+        # a numpy scalar would print as np.float64(...) in a CSV cell
+        rng = np.random.default_rng(46)
+        post = PosteriorMatrix.from_array("u", random_log_matrix(rng, 12, 5))
+        beams = decode_beams(post, abc_vocab, bigram_model if use_lm else None,
+                             DecoderConfig(beam_width=8))
+        assert len(beams) == 8
+        for beam in beams:
+            assert type(beam.prefix) is tuple
+            assert all(type(k) is int for k in beam.prefix)
+            assert type(beam.words) is tuple
+            assert all(type(w) is str for w in beam.words)
+            assert type(beam.acoustic_logp) is float
+            assert type(beam.lm_logp) is float
+            assert type(beam.word_count) is int
+            assert type(beam.score) is float
 
 
 def _lexicon_bigram_arpa() -> str:

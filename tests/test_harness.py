@@ -336,6 +336,11 @@ class TestEvalConfig:
         with pytest.raises(ValueError, match="llm_temperature"):
             EvalConfig(methods=("speech_rate",), llm_temperature=temperature)
 
+    def test_empty_llm_model_name_rejected(self):
+        with pytest.raises(ValueError, match="model name"):
+            EvalConfig(methods=("speech_rate",),
+                       llm_models=(LlmSpec("", MockCorrector()),))
+
 
 class TestScoreUtterance:
     def test_speech_rate_needs_duration_or_audio(self, synthetic_corpus):
