@@ -55,8 +55,7 @@ from .refgen import (
     extract_bracketed,
 )
 from .stats import mean_ci, pearson, two_sample_t
-from .textnorm import normalize_text
-from .transcript import Transcript, TranscriptSource
+from .transcript import Transcript, normalize_text
 from .vocab import Vocabulary, load_vocabulary
 
 __version__ = "0.1.0"

@@ -226,6 +226,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = Path(args.out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        # a run directory describes exactly one run
+        raise UsageError(f"--out {out} is not an empty directory")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise UsageError("--methods is empty")

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import EmptyBeamError
 from .ngram import NGramModel
 from .posteriors import PosteriorMatrix
-from .transcript import Transcript, TranscriptSource
+from .transcript import Transcript
 from .vocab import Vocabulary
 
 NEG_INF = float("-inf")
@@ -117,7 +117,7 @@ def collapse(raw: RawPath, vocab: Vocabulary) -> Transcript:
     """Collapse a raw path into the normalized greedy transcript."""
     labels = collapse_labels(raw.labels, vocab.blank_index)
     words = labels_to_words(labels, vocab)
-    return Transcript.from_raw(" ".join(words), TranscriptSource.GREEDY)
+    return Transcript.from_raw(" ".join(words))
 
 
 def fused_score(acoustic_logp: float, lm_logp: float, word_count: int,
@@ -360,4 +360,4 @@ def beam_search_decode(post: PosteriorMatrix, vocab: Vocabulary,
     beams = decode_beams(post, vocab, lm, cfg)
     if not beams:
         raise EmptyBeamError(f"{post.utterance_id}: the beam search kept no hypothesis")
-    return Transcript.from_raw(" ".join(beams[0].words), TranscriptSource.NGRAM_REFERENCE)
+    return Transcript.from_raw(" ".join(beams[0].words))

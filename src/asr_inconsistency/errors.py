@@ -40,7 +40,7 @@ class DimensionMismatchError(ToolkitError):
 
 
 class NonFiniteEntryError(ToolkitError):
-    pass
+    """A NaN or infinite value where a finite number is required."""
 
 
 class PositiveLogProbError(ToolkitError):
@@ -72,7 +72,7 @@ class TruncatedAudioError(ToolkitError):
 
 
 class TranscriptInvariantError(ToolkitError):
-    """Transcript words disagree with the normalized raw text."""
+    """A transcript word is empty or contains the word delimiter."""
 
 
 # --- language model ---------------------------------------------------------

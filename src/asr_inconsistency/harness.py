@@ -5,7 +5,9 @@ A run writes a self-contained directory: the config snapshot, every
 intermediate transcript and raw correction reply (the audit trail the
 explainability story depends on), per-utterance scores, speaker-level
 scores, and the human/machine report pair. Every report cell can be
-recomputed from the persisted per-utterance scores.
+recomputed from the persisted per-utterance scores. The hyp_source and
+ref_source columns of utterance_scores.csv are written from
+metrics.WER_SOURCES and never read back.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .errors import (
     ToolkitError,
 )
 from .manifest import UtteranceRecord
-from .metrics import ScoreRecord, inconsistency_score, reference_wer
+from .metrics import WER_SOURCES, ScoreRecord, inconsistency_score, reference_wer
 from .ngram import NGramModel
 from .posteriors import load_posteriors
 from .refgen import CorrectionClient, correct_with_llm
 from .stats import mean_ci, pearson, two_sample_t
-from .transcript import Transcript, TranscriptSource
+from .transcript import Transcript
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -177,15 +179,15 @@ def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceRes
             return result
 
     if record.ground_truth_text is not None:
-        result.ground_truth = Transcript.from_raw(
-            record.ground_truth_text, TranscriptSource.GROUND_TRUTH)
+        result.ground_truth = Transcript.from_raw(record.ground_truth_text)
 
     for method in config.methods:
         try:
             if method == "ngram":
                 ref = beam_search_decode(post, config.vocab, config.lm, config.decoder)
                 result.references["ngram"] = ref
-                result.scores.append(inconsistency_score(result.greedy, ref, uid))
+                result.scores.append(
+                    inconsistency_score(result.greedy, ref, uid, method="ngram"))
             elif method == "llm":
                 _score_llm(result, config)
             elif method == "speech_rate":
@@ -219,7 +221,7 @@ def _score_llm(result: UtteranceResult, config: EvalConfig) -> None:
             result.references[label] = corr.corrected
             result.raw_replies[label] = corr.raw_reply
             result.scores.append(inconsistency_score(
-                result.greedy, corr.corrected, uid,
+                result.greedy, corr.corrected, uid, method="llm",
                 model_name=spec.model_name, run_index=corr.run_index))
             if result.ground_truth is not None:
                 result.scores.append(reference_wer(
@@ -488,10 +490,11 @@ def write_utterance_scores_csv(results: list[UtteranceResult], path: Path) -> No
     for res in results:
         rec = res.record
         for s in res.scores:
+            hyp_source, ref_source = WER_SOURCES.get(s.method, ("", ""))
             rows.append([s.utterance_id, rec.speaker_id, rec.timepoint_id or "",
                          _cell(rec.rating), s.method, _cell(s.model_name),
                          _cell(s.run_index), _cell(s.value),
-                         s.hyp_source or "", s.ref_source or "",
+                         hyp_source, ref_source,
                          _cell(s.n_edits), _cell(s.ref_len)])
     _write_csv(path, ["utterance_id", "speaker_id", "timepoint_id", "rating",
                       "method", "model", "run_index", "value", "hyp_source",
@@ -598,8 +601,6 @@ def _load_utterance_scores(run_dir: Path) -> tuple[list[ScoreRecord],
                 value=float(row["value"]),
                 model_name=row["model"] or None,
                 run_index=int(row["run_index"]) if row["run_index"] else None,
-                hyp_source=row["hyp_source"] or None,
-                ref_source=row["ref_source"] or None,
                 n_edits=int(row["n_edits"]) if row["n_edits"] else None,
                 ref_len=int(row["ref_len"]) if row["ref_len"] else None,
             ))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,9 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
                     if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
                         raise ManifestFormatError(
                             f"{path}:{lineno}: {key} must be a number")
+                    if not math.isfinite(obj[key]):
+                        raise ManifestFormatError(
+                            f"{path}:{lineno}: {key} must be finite")
                     kwargs[key] = float(obj[key])
             try:
                 record = UtteranceRecord(**kwargs)

@@ -3,6 +3,8 @@
 The inconsistency score is the WER between the greedy (acoustic-driven)
 transcript and a generated reference transcript, with the reference in the
 denominator role: higher disagreement means lower estimated intelligibility.
+Which two transcripts a WER-type score compares follows from its method
+alone, and WER_SOURCES is the one table that records it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import asdict, dataclass
 from .errors import MissingGroundTruthError
 from .transcript import Transcript
 
-WER_METHODS = ("ngram", "llm", "reference_wer", "llm_accuracy")
+# method -> (hypothesis, reference) transcripts its WER compares
+WER_SOURCES = {
+    "ngram": ("greedy", "ngram_reference"),
+    "llm": ("greedy", "llm_reference"),
+    "reference_wer": ("greedy", "ground_truth"),
+    "llm_accuracy": ("llm_reference", "ground_truth"),
+}
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -54,13 +62,11 @@ class ScoreRecord:
     value: float
     model_name: str | None = None
     run_index: int | None = None
-    hyp_source: str | None = None
-    ref_source: str | None = None
     n_edits: int | None = None
     ref_len: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method in WER_METHODS and self.value < 0:
+        if self.method in WER_SOURCES and self.value < 0:
             raise ValueError(f"{self.method} score must be >= 0")
 
 
@@ -128,25 +134,24 @@ def wer(alignment: EditAlignment) -> float:
     return alignment.cost / alignment.ref_len
 
 
-def inconsistency_score(w_greedy: Transcript, w_ref: Transcript,
+def inconsistency_score(hyp: Transcript, ref: Transcript,
                         utterance_id: str = "",
-                        *, model_name: str | None = None,
+                        *, method: str,
+                        model_name: str | None = None,
                         run_index: int | None = None) -> ScoreRecord:
-    """WER between the greedy transcript and a generated reference.
+    """WER of hyp against ref, recorded under a WER_SOURCES method.
 
-    The generated reference takes the denominator role; higher values mean
-    the acoustics deviate further from the inferred intended message.
+    The reference takes the denominator role; for the ngram and llm methods
+    it is the generated reference, and higher values mean the acoustics
+    deviate further from the inferred intended message.
     """
-    alignment = align_words(w_greedy.words, w_ref.words)
-    method = "ngram" if w_ref.source.value == "ngram_reference" else "llm"
+    alignment = align_words(hyp.words, ref.words)
     return ScoreRecord(
         utterance_id=utterance_id,
         method=method,
         value=wer(alignment),
         model_name=model_name,
         run_index=run_index,
-        hyp_source=w_greedy.source.value,
-        ref_source=w_ref.source.value,
         n_edits=alignment.cost,
         ref_len=alignment.ref_len,
     )
@@ -160,18 +165,8 @@ def reference_wer(hyp: Transcript, ground_truth: Transcript | None,
     """Standard WER against the ground-truth transcription."""
     if ground_truth is None:
         raise MissingGroundTruthError(f"{utterance_id}: no ground-truth text")
-    alignment = align_words(hyp.words, ground_truth.words)
-    return ScoreRecord(
-        utterance_id=utterance_id,
-        method=method,
-        value=wer(alignment),
-        model_name=model_name,
-        run_index=run_index,
-        hyp_source=hyp.source.value,
-        ref_source=ground_truth.source.value,
-        n_edits=alignment.cost,
-        ref_len=alignment.ref_len,
-    )
+    return inconsistency_score(hyp, ground_truth, utterance_id, method=method,
+                               model_name=model_name, run_index=run_index)
 
 
 def diff_report(alignment: EditAlignment) -> tuple[EditOp, ...]:

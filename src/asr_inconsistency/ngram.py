@@ -186,6 +186,9 @@ def parse_arpa(text: str) -> NGramModel:
             backoff = float(parts[-1]) if has_backoff else None
         except ValueError:
             raise err(i, "bad log-probability") from None
+        if not math.isfinite(logp) or (
+                backoff is not None and not math.isfinite(backoff)):
+            raise err(i, "log-probability and back-off must be finite")
         words = tuple(parts[1:current + 1])
         tables[current - 1][words] = (logp, backoff)
     if not saw_end:

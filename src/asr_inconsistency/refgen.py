@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import AuthError, EmptyReplyError, RateLimitedError, TransportError
-from .transcript import Transcript, TranscriptSource
+from .transcript import Transcript
 
 BRACKETED = "bracketed"
 FALLBACK_WHOLE_REPLY = "fallback_whole_reply"
@@ -196,7 +196,7 @@ def correct_with_llm(client: CorrectionClient, w_greedy: Transcript,
         reply, retries = client.complete(request)
         text, extraction = extract_bracketed(reply)
         results.append(CorrectionResult(
-            corrected=Transcript.from_raw(text, TranscriptSource.LLM_REFERENCE),
+            corrected=Transcript.from_raw(text),
             raw_reply=reply,
             run_index=run_index,
             extraction=extraction,

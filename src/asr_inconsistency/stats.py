@@ -10,6 +10,7 @@ from .errors import (
     DegenerateVarianceError,
     LengthMismatchError,
     NonConvergenceError,
+    NonFiniteEntryError,
     TooFewValuesError,
 )
 
@@ -28,6 +29,8 @@ def pearson(x: list[float], y: list[float]) -> float:
         raise TooFewValuesError("need at least 3 points")
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise NonFiniteEntryError("an input holds a NaN or infinite value")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sxx = float(np.dot(xc, xc))

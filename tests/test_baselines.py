@@ -6,7 +6,6 @@ import pytest
 from asr_inconsistency import (
     AudioBuffer,
     Transcript,
-    TranscriptSource,
     speech_rate,
     wada_snr,
 )
@@ -19,7 +18,7 @@ from asr_inconsistency.errors import (
 
 
 def truth(text):
-    return Transcript.from_raw(text, TranscriptSource.GROUND_TRUTH)
+    return Transcript.from_raw(text)
 
 
 def gamma_noise_mix(rng, n, snr_db):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import asr_inconsistency
 from asr_inconsistency.cli import main
 from asr_inconsistency.harness import replay_run_results
+from asr_inconsistency.metrics import WER_SOURCES
 
 
 def run_cli(capsys, *args):
@@ -45,6 +47,25 @@ def eval_values(synthetic_corpus, tmp_path_factory):
     with open(run_dir / "utterance_scores.csv", encoding="utf-8") as fin:
         return {(r["utterance_id"], r["method"]): r["value"]
                 for r in csv.DictReader(fin)}
+
+
+@pytest.fixture(scope="module")
+def quickstart_run(synthetic_corpus, tmp_path_factory):
+    """The run directory of the README quick-start eval; tests copy it
+    before changing anything in it."""
+    run_dir = tmp_path_factory.mktemp("quickstart") / "run"
+    code = main(["eval", "--manifest", str(synthetic_corpus.manifest_path),
+                 "--vocab", str(synthetic_corpus.vocab_path),
+                 "--methods", "speech_rate,wada_snr,ngram,llm,reference_wer",
+                 "--lm", str(synthetic_corpus.lm_path),
+                 "--mock", "--mock-replies", str(synthetic_corpus.mock_half_fix_path),
+                 "--dataset-name", "synthetic", "--out", str(run_dir)])
+    assert code == 0
+    return run_dir
+
+
+def file_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def child_env():
@@ -227,6 +248,29 @@ class TestEval:
                              "--out", str(tmp_path / "run"))
         assert code == 2
 
+    def test_occupied_out_is_usage_error_and_left_untouched(self, synthetic_corpus,
+                                                            quickstart_run, tmp_path,
+                                                            capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(quickstart_run, run_dir)
+        before = file_bytes(run_dir)
+        code, out, err = run_cli(capsys, "eval",
+                                 "--manifest", str(synthetic_corpus.manifest_path),
+                                 "--vocab", str(synthetic_corpus.vocab_path),
+                                 "--methods", "reference_wer", "--out", str(run_dir))
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert file_bytes(run_dir) == before
+        # an existing empty directory is still a fresh run directory
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, _, _ = run_cli(capsys, "eval",
+                             "--manifest", str(synthetic_corpus.manifest_path),
+                             "--vocab", str(synthetic_corpus.vocab_path),
+                             "--methods", "reference_wer", "--out", str(empty))
+        assert code == 0
+        assert (empty / "report.txt").exists()
+
 
 # one out-of-range flag value each; {out} is where the output would go
 BAD_FLAG_VALUES = {
@@ -271,23 +315,16 @@ def test_bad_flag_value_is_usage_error_before_any_output(synthetic_corpus,
 
 
 class TestGoldenReport:
-    def test_mock_eval_report_matches_golden_byte_for_byte(self, synthetic_corpus,
-                                                           tmp_path, capsys):
-        from pathlib import Path
-        run_dir = tmp_path / "golden_run"
-        code, _, _ = run_cli(capsys, "eval",
-                             "--manifest", str(synthetic_corpus.manifest_path),
-                             "--vocab", str(synthetic_corpus.vocab_path),
-                             "--methods",
-                             "speech_rate,wada_snr,ngram,llm,reference_wer",
-                             "--lm", str(synthetic_corpus.lm_path),
-                             "--mock", "--mock-replies",
-                             str(synthetic_corpus.mock_half_fix_path),
-                             "--dataset-name", "synthetic",
-                             "--out", str(run_dir))
-        assert code == 0
+    def test_mock_eval_report_matches_golden_byte_for_byte(self, quickstart_run):
         golden = Path(__file__).parent / "data" / "golden_report.txt"
-        assert (run_dir / "report.txt").read_bytes() == golden.read_bytes()
+        assert (quickstart_run / "report.txt").read_bytes() == golden.read_bytes()
+
+    def test_provenance_columns_name_the_compared_pair(self, quickstart_run):
+        with open(quickstart_run / "utterance_scores.csv", encoding="utf-8") as fin:
+            rows = list(csv.DictReader(fin))
+        triples = {(r["method"], r["hyp_source"], r["ref_source"]) for r in rows}
+        assert triples == {(method, *pair) for method, pair in WER_SOURCES.items()} | {
+            ("speech_rate", "", ""), ("wada_snr", "", "")}
 
 
 class TestBaselinesAndReport:
@@ -374,6 +411,27 @@ class TestBaselinesAndReport:
             assert len(rs) == 2
             assert (f"corrected[{model}] r vs ratings: "
                     f"{sum(rs) / len(rs):.4f} over 2 runs\n") in out
+
+    def test_report_replay_skips_a_non_finite_score(self, quickstart_run, tmp_path,
+                                                    capsys):
+        _, before, _ = run_cli(capsys, "report", str(quickstart_run))
+        run_dir = tmp_path / "run"
+        shutil.copytree(quickstart_run, run_dir)
+        path = run_dir / "utterance_scores.csv"
+        with open(path, encoding="utf-8") as fin:
+            rows = list(csv.reader(fin))
+        value = rows[0].index("value")
+        first = next(r for r in rows if r[rows[0].index("method")] == "reference_wer")
+        first[value] = "nan"
+        with open(path, "w", encoding="utf-8", newline="") as fout:
+            csv.writer(fout, lineterminator="\n").writerows(rows)
+        code, after, _ = run_cli(capsys, "report", str(run_dir))
+        assert code == 0
+        # the NaN speaker mean used to give reference_wer r=1.0000; now that
+        # variant has no correlation and every other line is unchanged
+        assert "reference_wer: r=" in before
+        assert after.splitlines() == [line for line in before.splitlines()
+                                      if not line.startswith("reference_wer:")]
 
     def test_report_on_non_run_dir_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path))

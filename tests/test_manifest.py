@@ -54,6 +54,18 @@ def test_non_positive_duration_rejected(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("key", ["rating", "duration_s"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_rejected_with_line(tmp_path, key, literal):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"utterance_id": "u1", "speaker_id": "s", "posterior_path": "p"}\n'
+                    '{"utterance_id": "u2", "speaker_id": "s", "posterior_path": "p", '
+                    f'"{key}": {literal}}}\n')
+    with pytest.raises(ManifestFormatError) as err:
+        load_manifest(path)
+    assert ":2:" in str(err.value) and key in str(err.value)
+
+
 def test_round_trip_is_identity_on_all_fields(tmp_path):
     records = [
         UtteranceRecord(utterance_id="u1", speaker_id="s1", posterior_path="p/u1",

@@ -13,6 +13,8 @@ from asr_inconsistency.errors import (
 )
 from asr_inconsistency.ngram import OOV_FLOOR_LN, LN10
 
+from conftest import BIGRAM_ARPA
+
 UNIGRAM_ARPA = """\
 \\data\\
 ngram 1=2
@@ -49,6 +51,17 @@ class TestParsing:
         with pytest.raises(ArpaFormatError) as err:
             parse_arpa(bad)
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("good, entry, lineno", [
+        ("-0.7\tc", "{bad}\tc", 8),
+        ("-0.5\ta\t-0.3", "-0.5\ta\t{bad}", 6),
+    ], ids=["logprob", "backoff"])
+    def test_non_finite_value_rejected_with_line(self, bad, good, entry, lineno):
+        bad_text = BIGRAM_ARPA.replace(good, entry.format(bad=bad))
+        with pytest.raises(ArpaFormatError) as err:
+            parse_arpa(bad_text)
+        assert f"line {lineno}:" in str(err.value)
 
     def test_backoff_on_highest_order_rejected(self):
         bad = UNIGRAM_ARPA.replace("-0.3010299956639812\ta",

@@ -8,6 +8,7 @@ from asr_inconsistency.errors import (
     DegenerateVarianceError,
     LengthMismatchError,
     NonConvergenceError,
+    NonFiniteEntryError,
     TooFewValuesError,
 )
 from asr_inconsistency.stats import _t_ppf, _t_sf
@@ -52,6 +53,14 @@ class TestPearson:
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN used to pass the clamp to [-1, 1] as a perfect correlation
+        with pytest.raises(NonFiniteEntryError):
+            pearson([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
+        with pytest.raises(NonFiniteEntryError):
+            pearson([1.0, 3.0, 2.0, 5.0], [1.0, 2.0, bad, 4.0])
 
 
 class TestMeanCi:

@@ -1,6 +1,6 @@
 import pytest
 
-from asr_inconsistency import Transcript, TranscriptSource, normalize_text
+from asr_inconsistency import Transcript, normalize_text
 from asr_inconsistency.errors import TranscriptInvariantError
 
 
@@ -37,15 +37,10 @@ class TestNormalizeText:
 
 class TestTranscript:
     def test_from_raw_normalizes(self):
-        t = Transcript.from_raw("De Kat!", TranscriptSource.GREEDY)
+        t = Transcript.from_raw("De Kat!")
         assert t.words == ("de", "kat")
-        assert t.raw_text == "De Kat!"
         assert t.word_count == 2
         assert t.text() == "de kat"
-
-    def test_source_tags(self):
-        for source in TranscriptSource:
-            assert Transcript.from_raw("a", source).source is source
 
     def test_from_raw_normalizes_once(self, monkeypatch):
         from asr_inconsistency import transcript
@@ -56,18 +51,14 @@ class TestTranscript:
             return normalize_text(text)
 
         monkeypatch.setattr(transcript, "normalize_text", counting)
-        t = Transcript.from_raw("De Kat!", TranscriptSource.GREEDY)
+        t = Transcript.from_raw("De Kat!")
         assert calls == ["De Kat!"]
         assert t.words == ("de", "kat")
 
-    def test_mismatched_words_rejected(self):
-        with pytest.raises(TranscriptInvariantError):
-            Transcript(words=("kat",), raw_text="hond", source=TranscriptSource.GREEDY)
-
     def test_delimiter_inside_word_rejected(self):
         with pytest.raises(TranscriptInvariantError):
-            Transcript(words=("a|b",), raw_text="a|b", source=TranscriptSource.GREEDY)
+            Transcript(words=("a|b",))
 
     def test_empty_transcript_allowed(self):
-        t = Transcript.from_raw("", TranscriptSource.GREEDY)
+        t = Transcript.from_raw("")
         assert t.words == ()
