@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: decode, score, eval, baselines, report. Exit codes follow a
+Subcommands: decode, score, eval, report. Exit codes follow a
 scripting contract: 0 success, 1 runtime failure, 2 validation/usage
 failure detected before any work starts.
 """
@@ -18,7 +18,6 @@ from .errors import ToolkitError
 from .harness import (
     EvalConfig,
     LlmSpec,
-    _write_csv,
     llm_accuracy_report,
     render_report_text,
     replay_run_results,
@@ -26,6 +25,7 @@ from .harness import (
     run_pipeline,
     score_utterance,
     variant_label,
+    write_utterance_scores_csv,
 )
 from .manifest import load_manifest
 from .ngram import load_arpa
@@ -50,7 +50,19 @@ def _add_decoder_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beam-width", type=int, default=100)
 
 
-def _add_llm_args(parser: argparse.ArgumentParser) -> None:
+def _add_scoring_args(parser: argparse.ArgumentParser, vocab_required: bool) -> None:
+    """The flags of score and eval; both map them onto one EvalConfig."""
+    parser.add_argument("--manifest", required=True)
+    parser.add_argument("--vocab", required=vocab_required,
+                        help="CTC vocabulary; ngram, llm and reference_wer need it")
+    parser.add_argument("--methods", required=True,
+                        help="comma-separated subset of "
+                             "speech_rate,wada_snr,ngram,llm,reference_wer")
+    parser.add_argument("--lm", help="ARPA language model; ngram needs it")
+    parser.add_argument("--language", default="unknown")
+    parser.add_argument("--speech-rate-unit", default=WORDS_PER_MINUTE,
+                        choices=[WORDS_PER_MINUTE, WORDS_PER_SECOND])
+    _add_decoder_args(parser)
     parser.add_argument("--model", action="append", default=None,
                         help="correction model name; repeatable")
     parser.add_argument("--runs", type=int, default=3,
@@ -79,37 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decoder_args(p_decode)
     p_decode.add_argument("posteriors", nargs="+")
 
-    p_score = sub.add_parser("score", help="per-utterance inconsistency scores")
-    p_score.add_argument("--manifest", required=True)
-    p_score.add_argument("--vocab", required=True)
-    p_score.add_argument("--method", required=True)
-    p_score.add_argument("--lm")
-    p_score.add_argument("--language", default="unknown")
+    p_score = sub.add_parser(
+        "score", help="per-utterance scores of any manifest, no ratings needed")
+    _add_scoring_args(p_score, vocab_required=False)
     p_score.add_argument("--out", help="CSV output path (default stdout)")
-    _add_decoder_args(p_score)
-    _add_llm_args(p_score)
 
     p_eval = sub.add_parser("eval", help="full evaluation run with a report")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--vocab", required=True)
-    p_eval.add_argument("--methods", required=True,
-                        help="comma-separated subset of "
-                             "speech_rate,wada_snr,ngram,llm,reference_wer")
+    _add_scoring_args(p_eval, vocab_required=True)
     p_eval.add_argument("--out", required=True, help="run directory")
-    p_eval.add_argument("--lm")
-    p_eval.add_argument("--language", default="unknown")
     p_eval.add_argument("--dataset-name")
-    p_eval.add_argument("--speech-rate-unit", default=WORDS_PER_MINUTE,
-                        choices=[WORDS_PER_MINUTE, WORDS_PER_SECOND])
-    _add_decoder_args(p_eval)
-    _add_llm_args(p_eval)
-
-    p_base = sub.add_parser("baselines", help="confounder baseline scores")
-    p_base.add_argument("--manifest", required=True)
-    p_base.add_argument("--methods", default="speech_rate,wada_snr")
-    p_base.add_argument("--speech-rate-unit", default=WORDS_PER_MINUTE,
-                        choices=[WORDS_PER_MINUTE, WORDS_PER_SECOND])
-    p_base.add_argument("--out", help="CSV output path (default stdout)")
 
     p_report = sub.add_parser("report", help="views over a persisted run directory")
     p_report.add_argument("run_dir")
@@ -126,12 +116,20 @@ def _load_decoder_config(args) -> DecoderConfig:
         raise UsageError(str(exc)) from None
 
 
-def _load_eval_config(args, methods: tuple[str, ...], specs: list[LlmSpec],
-                      **fields) -> EvalConfig:
-    """The EvalConfig of score and eval; an out-of-range flag value is a
-    UsageError, raised before any output is written."""
+def _parse_methods(text: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods:
+        raise UsageError("--methods is empty")
+    return methods
+
+
+def _load_eval_config(args, methods: tuple[str, ...], **fields) -> EvalConfig:
+    """The EvalConfig of score and eval; an unknown method, a method without
+    the input it needs and an out-of-range flag value are each a UsageError,
+    raised before any output is written."""
     decoder = _load_decoder_config(args)
-    vocab = load_vocabulary(args.vocab)
+    specs = _build_llm_specs(args) if "llm" in methods else []
+    vocab = load_vocabulary(args.vocab) if args.vocab else None
     lm = load_arpa(args.lm) if args.lm else None
     try:
         return EvalConfig(
@@ -143,6 +141,7 @@ def _load_eval_config(args, methods: tuple[str, ...], specs: list[LlmSpec],
             llm_runs=args.runs,
             llm_temperature=args.temperature,
             language=args.language,
+            speech_rate_unit=args.speech_rate_unit,
             base_dir=Path(args.manifest).resolve().parent,
             **fields,
         )
@@ -196,32 +195,14 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    if args.method not in ("ngram", "llm"):
-        raise UsageError(f"unknown method {args.method!r} (choose ngram or llm)")
-    if args.method == "ngram" and not args.lm:
-        raise UsageError("--method ngram needs --lm ARPA_FILE")
-    specs = _build_llm_specs(args) if args.method == "llm" else []
-    if len(specs) > 1:
-        raise UsageError("score supports a single --model; use eval for several")
-
-    config = _load_eval_config(args, (args.method,), specs)
-    if specs:
-        label = variant_label("llm", specs[0].model_name)
-        columns = [f"run_{i}" for i in range(args.runs)]
-    else:
-        label, columns = "ngram", ["value"]
+    config = _load_eval_config(args, _parse_methods(args.methods))
     results = [score_utterance(r, config) for r in load_manifest(args.manifest)]
-    rows = []
     for res in results:
-        uid = res.record.utterance_id
         for stage, message in res.errors:
-            print(f"warning: {uid}: {stage}: {message}", file=sys.stderr)
-        # a failed utterance keeps its row, with blank value cells
-        values = [repr(s.value) for s in res.scores if s.method == args.method]
-        rows.append([uid, res.record.speaker_id, label,
-                     *(values or [""] * len(columns))])
+            print(f"warning: {res.record.utterance_id}: {stage}: {message}",
+                  file=sys.stderr)
     require_scored(results)
-    _write_csv(args.out, ["utterance_id", "speaker_id", "method", *columns], rows)
+    write_utterance_scores_csv(results, args.out)
     return EXIT_OK
 
 
@@ -230,52 +211,23 @@ def cmd_eval(args) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         # a run directory describes exactly one run
         raise UsageError(f"--out {out} is not an empty directory")
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not methods:
-        raise UsageError("--methods is empty")
+    methods = _parse_methods(args.methods)
     manifest = load_manifest(args.manifest)
     if not any(r.rating is not None for r in manifest):
         raise UsageError(
             "eval needs perceptual ratings in the manifest; none found "
-            "(use score/baselines for rating-free scoring)")
-    if "ngram" in methods and not args.lm:
-        raise UsageError("--methods ngram needs --lm ARPA_FILE")
-    specs = _build_llm_specs(args) if "llm" in methods else []
+            "(use score for rating-free scoring)")
 
     config = _load_eval_config(
-        args, methods, specs,
+        args, methods,
         dataset_name=args.dataset_name or Path(args.manifest).stem,
-        speech_rate_unit=args.speech_rate_unit,
-        snapshot={"argv": sys.argv[1:], "manifest": args.manifest,
+        snapshot={"argv": args.argv, "manifest": args.manifest,
                   "vocab": args.vocab, "lm": args.lm,
                   "mock": bool(args.mock)},
     )
     result = run_pipeline(manifest, config, args.out)
     print(render_report_text(result.report))
     print(f"run directory: {result.run_dir}")
-    return EXIT_OK
-
-
-def cmd_baselines(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    bad = [m for m in methods if m not in ("speech_rate", "wada_snr")]
-    if bad:
-        raise UsageError(f"unknown baseline methods: {', '.join(bad)}")
-    config = EvalConfig(
-        methods=methods,
-        speech_rate_unit=args.speech_rate_unit,
-        base_dir=Path(args.manifest).resolve().parent,
-    )
-    rows = []
-    for record in load_manifest(args.manifest):
-        res = score_utterance(record, config)
-        values = {s.method: repr(s.value) for s in res.scores}
-        errors = dict(res.errors)
-        rows.extend([record.utterance_id, record.speaker_id, method,
-                     values.get(method, ""), errors.get(method, "")]
-                    for method in methods)
-    _write_csv(args.out, ["utterance_id", "speaker_id", "method", "value", "error"],
-               rows)
     return EXIT_OK
 
 
@@ -286,24 +238,28 @@ def cmd_report(args) -> int:
     if args.llm_accuracy:
         print(llm_accuracy_report(run_dir))
         return EXIT_OK
-    for rr in replay_run_results(run_dir):
+    run_results, notes = replay_run_results(run_dir)
+    for rr in run_results:
         run = "" if rr.run_index is None else f" run{rr.run_index}"
         print(f"{variant_label(rr.method, rr.model_name)}{run}: "
               f"r={rr.pearson_r:.4f} over {rr.n_points} points")
+    for note in notes:
+        print(f"note: {note}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args.argv = argv  # eval records it in config.json
     handlers = {
         "decode": cmd_decode,
         "score": cmd_score,
         "eval": cmd_eval,
-        "baselines": cmd_baselines,
         "report": cmd_report,
     }
     try:

@@ -485,7 +485,9 @@ def write_speaker_scores_csv(speaker_scores: list[SpeakerScore],
                       "timepoint_id", "n_utterances", "score", "rating"], rows)
 
 
-def write_utterance_scores_csv(results: list[UtteranceResult], path: Path) -> None:
+def write_utterance_scores_csv(results: list[UtteranceResult],
+                               path: str | Path | None = None) -> None:
+    """One row per score, in the order of results; stdout when path is None."""
     rows = []
     for res in results:
         rec = res.record
@@ -615,12 +617,11 @@ def _load_utterance_scores(run_dir: Path) -> tuple[list[ScoreRecord],
     return scores, list(pseudo.values())
 
 
-def replay_run_results(run_dir: str | Path) -> list[RunResult]:
-    """Recompute correlation cells from the persisted per-utterance scores."""
+def replay_run_results(run_dir: str | Path) -> tuple[list[RunResult], list[str]]:
+    """Recompute correlation cells, and correlate's notes, from the persisted
+    per-utterance scores."""
     scores, pseudo_manifest = _load_utterance_scores(Path(run_dir))
-    speaker_scores = aggregate_speaker(scores, pseudo_manifest)
-    run_results, _ = correlate(speaker_scores)
-    return run_results
+    return correlate(aggregate_speaker(scores, pseudo_manifest))
 
 
 def llm_accuracy_report(run_dir: str | Path) -> str:

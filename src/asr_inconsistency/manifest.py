@@ -45,7 +45,11 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fin:
-        for lineno, line in enumerate(fin, start=1):
+        try:
+            lines = fin.readlines()
+        except UnicodeDecodeError as exc:
+            raise ManifestFormatError(f"{path}: not UTF-8 text") from exc
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -66,10 +70,15 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
                     if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
                         raise ManifestFormatError(
                             f"{path}:{lineno}: {key} must be a number")
-                    if not math.isfinite(obj[key]):
+                    try:
+                        value = float(obj[key])
+                    except OverflowError:
+                        raise ManifestFormatError(
+                            f"{path}:{lineno}: {key} is too large for a float") from None
+                    if not math.isfinite(value):
                         raise ManifestFormatError(
                             f"{path}:{lineno}: {key} must be finite")
-                    kwargs[key] = float(obj[key])
+                    kwargs[key] = value
             try:
                 record = UtteranceRecord(**kwargs)
             except (TypeError, ManifestFormatError) as exc:

@@ -204,11 +204,19 @@ def parse_arpa(text: str) -> NGramModel:
 
 
 def load_arpa(path: str | Path) -> NGramModel:
-    """Load an ARPA file, transparently decompressing gzip."""
+    """Load an ARPA file, transparently decompressing gzip; format errors
+    name the file."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
-    return parse_arpa(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArpaFormatError(f"{path}: not UTF-8 text") from exc
+    try:
+        return parse_arpa(text)
+    except ArpaFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_arpa(model: NGramModel) -> str:

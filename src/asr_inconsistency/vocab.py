@@ -53,7 +53,10 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     The file must contain the reserved lines "<blank>" and "|"; their line
     numbers become the blank and delimiter indices.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise VocabularyError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise EmptyVocabularyError(f"{path}: empty vocabulary file")
     for i, sym in enumerate(lines):

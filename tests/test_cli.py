@@ -135,7 +135,7 @@ class TestScore:
         code, _, _ = run_cli(capsys, "score",
                              "--manifest", str(synthetic_corpus.manifest_path),
                              "--vocab", str(synthetic_corpus.vocab_path),
-                             "--method", "ngram",
+                             "--methods", "ngram",
                              "--lm", str(synthetic_corpus.lm_path),
                              "--out", str(out_csv))
         assert code == 0
@@ -156,14 +156,17 @@ class TestScore:
         out_csv = tmp_path / "scores.csv"
         code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
                                "--vocab", str(synthetic_corpus.vocab_path),
-                               "--method", "ngram",
+                               "--methods", "ngram",
                                "--lm", str(synthetic_corpus.lm_path),
                                "--out", str(out_csv))
         assert code == 0
+        # the failed utterance has one warning and no row
         rows = list(csv.DictReader(out_csv.open()))
-        assert [r["utterance_id"] for r in rows] == [o["utterance_id"] for o in objs]
-        assert [r["value"] == "" for r in rows] == [False, True, False]
-        assert f"warning: {objs[1]['utterance_id']}: decode: " in err
+        assert [r["utterance_id"] for r in rows] == [objs[0]["utterance_id"],
+                                                     objs[2]["utterance_id"]]
+        assert all(r["value"] for r in rows)
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"warning: {objs[1]['utterance_id']}: decode: ")
 
     def test_every_posterior_missing_is_runtime_error(self, synthetic_corpus,
                                                       tmp_path, capsys):
@@ -172,24 +175,52 @@ class TestScore:
         write_manifest_lines(manifest, synthetic_corpus, 2, {0: missing, 1: missing})
         code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
                                "--vocab", str(synthetic_corpus.vocab_path),
-                               "--method", "ngram",
+                               "--methods", "ngram",
                                "--lm", str(synthetic_corpus.lm_path))
         assert code == 1
         assert err.count("warning: ") == 2
         assert "no utterance produced any score" in err
 
-    def test_llm_mock_three_run_columns(self, synthetic_corpus, tmp_path, capsys):
+    def test_llm_mock_three_run_rows(self, synthetic_corpus, tmp_path, capsys):
         out_csv = tmp_path / "scores.csv"
         code, _, _ = run_cli(capsys, "score",
                              "--manifest", str(synthetic_corpus.manifest_path),
                              "--vocab", str(synthetic_corpus.vocab_path),
-                             "--method", "llm", "--mock", "--runs", "3",
+                             "--methods", "llm", "--mock", "--runs", "3",
                              "--mock-replies", str(synthetic_corpus.mock_half_fix_path),
                              "--out", str(out_csv))
         assert code == 0
-        with out_csv.open() as fin:
-            header = fin.readline().strip().split(",")
-        assert header[-3:] == ["run_0", "run_1", "run_2"]
+        rows = list(csv.DictReader(out_csv.open()))
+        first = rows[0]["utterance_id"]
+        # one row per run, each followed by its accuracy against the ground truth
+        assert [(r["method"], r["model"], r["run_index"]) for r in rows
+                if r["utterance_id"] == first] == [
+            (method, "mock-corrector", str(run))
+            for run in range(3) for method in ("llm", "llm_accuracy")]
+        assert len(rows) == 72 * 6
+
+    def test_quickstart_methods_match_eval_byte_for_byte(self, synthetic_corpus,
+                                                         quickstart_run, tmp_path,
+                                                         capsys):
+        out_csv = tmp_path / "scores.csv"
+        code, out, err = run_cli(
+            capsys, "score", "--manifest", str(synthetic_corpus.manifest_path),
+            "--vocab", str(synthetic_corpus.vocab_path),
+            "--methods", "speech_rate,wada_snr,ngram,llm,reference_wer",
+            "--lm", str(synthetic_corpus.lm_path),
+            "--mock", "--mock-replies", str(synthetic_corpus.mock_half_fix_path),
+            "--out", str(out_csv))
+        assert (code, out, err) == (0, "", "")
+        assert out_csv.read_bytes() == (
+            quickstart_run / "utterance_scores.csv").read_bytes()
+
+    def test_decoded_method_without_vocab_is_usage_error(self, synthetic_corpus,
+                                                         capsys):
+        code, out, err = run_cli(capsys, "score",
+                                 "--manifest", str(synthetic_corpus.manifest_path),
+                                 "--methods", "speech_rate,reference_wer")
+        assert code == 2 and out == ""
+        assert err == "error: the reference_wer method needs a vocabulary\n"
 
     def test_llm_without_mock_or_env_is_usage_error(self, synthetic_corpus,
                                                     tmp_path, capsys, monkeypatch):
@@ -198,7 +229,7 @@ class TestScore:
         code, _, err = run_cli(capsys, "score",
                                "--manifest", str(synthetic_corpus.manifest_path),
                                "--vocab", str(synthetic_corpus.vocab_path),
-                               "--method", "llm")
+                               "--methods", "llm")
         assert code == 2
         assert "mock" in err.lower()
 
@@ -206,7 +237,7 @@ class TestScore:
         code, _, _ = run_cli(capsys, "score",
                              "--manifest", str(synthetic_corpus.manifest_path),
                              "--vocab", str(synthetic_corpus.vocab_path),
-                             "--method", "magic")
+                             "--methods", "magic")
         assert code == 2
 
 
@@ -271,11 +302,21 @@ class TestEval:
         assert code == 0
         assert (empty / "report.txt").exists()
 
+    def test_config_records_the_argv_main_parsed(self, synthetic_corpus, tmp_path,
+                                                 capsys):
+        run_dir = tmp_path / "run"
+        argv = ["eval", "--manifest", str(synthetic_corpus.manifest_path),
+                "--vocab", str(synthetic_corpus.vocab_path),
+                "--methods", "reference_wer", "--out", str(run_dir)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads((run_dir / "config.json").read_text())["argv"] == argv
+
 
 # one out-of-range flag value each; {out} is where the output would go
 BAD_FLAG_VALUES = {
     "score_beam_width": "score --manifest {manifest} --vocab {vocab} "
-                        "--method ngram --lm {lm} --beam-width 0 --out {out}",
+                        "--methods ngram --lm {lm} --beam-width 0 --out {out}",
     "eval_runs": "eval --manifest {manifest} --vocab {vocab} "
                  "--methods reference_wer --runs 0 --out {out}",
     "eval_alpha": "eval --manifest {manifest} --vocab {vocab} "
@@ -285,7 +326,7 @@ BAD_FLAG_VALUES = {
     "eval_llm_temperature": "eval --manifest {manifest} --vocab {vocab} "
                             "--methods llm --mock --temperature -1 --out {out}",
     "score_alpha_inf": "score --manifest {manifest} --vocab {vocab} "
-                       "--method ngram --lm {lm} --alpha inf --out {out}",
+                       "--methods ngram --lm {lm} --alpha inf --out {out}",
     "decode_beta_inf": "decode --vocab {vocab} --beam --lm {lm} --beta inf {post}",
     "eval_empty_model": "eval --manifest {manifest} --vocab {vocab} "
                         "--methods llm,reference_wer --mock --model '' --runs 1 "
@@ -314,6 +355,41 @@ def test_bad_flag_value_is_usage_error_before_any_output(synthetic_corpus,
     assert not out.exists()
 
 
+# one malformed input file each, written to {bad}
+MALFORMED_INPUTS = {
+    "arpa_not_utf8": ("decode --vocab {vocab} --beam --lm {bad} {post}",
+                      b"\xff\xfe\\data\\\n"),
+    "arpa_nan": ("decode --vocab {vocab} --beam --lm {bad} {post}",
+                 b"\\data\\\nngram 1=1\n\n\\1-grams:\nnan\ta\n\n\\end\\\n"),
+    "vocab_not_utf8": ("decode --vocab {bad} --greedy {post}", b"\xff\xfe<blank>\n"),
+    "manifest_not_utf8": ("eval --manifest {bad} --vocab {vocab} "
+                          "--methods speech_rate --out {out}", b"\xff\xfe{}\n"),
+    "manifest_too_large": ("eval --manifest {bad} --vocab {vocab} "
+                           "--methods speech_rate --out {out}",
+                           b'{"utterance_id": "u", "speaker_id": "s", '
+                           b'"posterior_path": "p", "rating": 1' + b"0" * 400 + b"}\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_is_one_error_line_naming_it(synthetic_corpus, tmp_path,
+                                                          case):
+    template, content = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    argv = [arg.format(bad=bad, vocab=synthetic_corpus.vocab_path,
+                       out=tmp_path / "out",
+                       post=synthetic_corpus.root / "post" / "spk00_utt00.ctcp")
+            for arg in shlex.split(template)]
+    proc = subprocess.run([sys.executable, "-m", "asr_inconsistency.cli", *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}")
+    assert proc.stdout == ""
+
+
 class TestGoldenReport:
     def test_mock_eval_report_matches_golden_byte_for_byte(self, quickstart_run):
         golden = Path(__file__).parent / "data" / "golden_report.txt"
@@ -329,36 +405,40 @@ class TestGoldenReport:
 
 class TestBaselinesAndReport:
     def test_baselines_csv(self, synthetic_corpus, eval_values, tmp_path, capsys):
+        # the two confounder baselines need no vocabulary
         out_csv = tmp_path / "base.csv"
-        code, _, _ = run_cli(capsys, "baselines",
-                             "--manifest", str(synthetic_corpus.manifest_path),
-                             "--methods", "speech_rate,wada_snr",
-                             "--out", str(out_csv))
-        assert code == 0
+        code, _, err = run_cli(capsys, "score",
+                               "--manifest", str(synthetic_corpus.manifest_path),
+                               "--methods", "speech_rate,wada_snr",
+                               "--out", str(out_csv))
+        assert code == 0 and err == ""
         rows = list(csv.DictReader(out_csv.open()))
         assert len(rows) == 144  # two methods per utterance
-        assert all(r["error"] == "" for r in rows)
         assert {(r["utterance_id"], r["method"]): r["value"] for r in rows} == {
             key: value for key, value in eval_values.items()
             if key[1] in ("speech_rate", "wada_snr")}
 
-    def test_baselines_missing_wav_goes_to_error_column(self, synthetic_corpus,
-                                                         tmp_path, capsys):
+    def test_baselines_missing_wav_is_a_warning(self, synthetic_corpus, tmp_path,
+                                                capsys):
         manifest = tmp_path / "m.jsonl"
         objs = write_manifest_lines(manifest, synthetic_corpus, 2,
                                     {0: {"audio_path": "missing.wav"}})
         out_csv = tmp_path / "base.csv"
-        code, _, _ = run_cli(capsys, "baselines", "--manifest", str(manifest),
-                             "--out", str(out_csv))
+        code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
+                               "--methods", "speech_rate,wada_snr",
+                               "--out", str(out_csv))
         assert code == 0
-        rows = {(r["utterance_id"], r["method"]): r
-                for r in csv.DictReader(out_csv.open())}
-        broken = rows[(objs[0]["utterance_id"], "wada_snr")]
-        assert broken["value"] == "" and "missing.wav" in broken["error"]
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: {objs[0]['utterance_id']}: wada_snr: ")
+        assert "missing.wav" in lines[0]
         # speech rate uses duration_s, so only wada_snr fails
-        assert rows[(objs[0]["utterance_id"], "speech_rate")]["value"]
-        assert all(r["value"] and not r["error"] for key, r in rows.items()
-                   if key[0] == objs[1]["utterance_id"])
+        rows = {(r["utterance_id"], r["method"]): r["value"]
+                for r in csv.DictReader(out_csv.open())}
+        assert sorted(rows) == sorted([(objs[0]["utterance_id"], "speech_rate"),
+                                       (objs[1]["utterance_id"], "speech_rate"),
+                                       (objs[1]["utterance_id"], "wada_snr")])
+        assert all(rows.values())
 
     def test_report_replay_over_run_dir(self, synthetic_corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -373,8 +453,9 @@ class TestBaselinesAndReport:
 
     def test_baselines_report_per_utterance_errors(self, synthetic_corpus,
                                                    tmp_path, capsys):
-        # strip audio and duration: speech_rate and wada_snr both fail per
-        # utterance, never aborting the command
+        # strip audio and duration: speech_rate and wada_snr both fail in
+        # every utterance, each with its own warning, and only then does the
+        # command fail because nothing was scored
         stripped = tmp_path / "noaudio.jsonl"
         lines = []
         for line in synthetic_corpus.manifest_path.read_text().splitlines():
@@ -384,12 +465,14 @@ class TestBaselinesAndReport:
             lines.append(json.dumps(obj))
         stripped.write_text("\n".join(lines[:4]) + "\n")
         out_csv = tmp_path / "base.csv"
-        code, _, _ = run_cli(capsys, "baselines", "--manifest", str(stripped),
-                             "--out", str(out_csv))
-        assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
-        assert len(rows) == 8
-        assert all(r["value"] == "" and r["error"] for r in rows)
+        code, out, err = run_cli(capsys, "score", "--manifest", str(stripped),
+                                 "--methods", "speech_rate,wada_snr",
+                                 "--out", str(out_csv))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len([line for line in lines if line.startswith("warning: ")]) == 8
+        assert lines[-1] == "error: no utterance produced any score"
+        assert not out_csv.exists()
 
     def test_llm_accuracy_r_is_the_mean_of_correlated_runs(self, synthetic_corpus,
                                                            tmp_path, capsys):
@@ -404,7 +487,7 @@ class TestBaselinesAndReport:
         assert code == 0
         code, out, _ = run_cli(capsys, "report", str(run_dir), "--llm-accuracy")
         assert code == 0
-        run_results = replay_run_results(run_dir)
+        run_results, _ = replay_run_results(run_dir)
         for model in ("half", "echo"):
             rs = [rr.pearson_r for rr in run_results
                   if rr.method == "llm_accuracy" and rr.model_name == model]
@@ -428,10 +511,14 @@ class TestBaselinesAndReport:
         code, after, _ = run_cli(capsys, "report", str(run_dir))
         assert code == 0
         # the NaN speaker mean used to give reference_wer r=1.0000; now that
-        # variant has no correlation and every other line is unchanged
-        assert "reference_wer: r=" in before
-        assert after.splitlines() == [line for line in before.splitlines()
-                                      if not line.startswith("reference_wer:")]
+        # variant has no correlation, a note says why, and every other line
+        # is unchanged
+        assert "reference_wer: r=" in before and "note: " not in before
+        assert after.splitlines() == [
+            *(line for line in before.splitlines()
+              if not line.startswith("reference_wer:")),
+            "note: reference_wer: correlation unavailable "
+            "(an input holds a NaN or infinite value)"]
 
     def test_report_on_non_run_dir_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path))
@@ -440,19 +527,18 @@ class TestBaselinesAndReport:
     def test_help_lists_subcommands(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
-        for sub in ("decode", "score", "eval", "baselines", "report"):
-            assert sub in out
+        assert "{decode,score,eval,report}" in out
+        assert "baselines" not in out
 
     @pytest.mark.parametrize("subcommand,flags", [
         ("decode", ["--vocab", "--greedy", "--beam", "--lm", "--alpha",
                     "--beta", "--beam-width"]),
-        ("score", ["--manifest", "--vocab", "--method", "--lm", "--model",
+        ("score", ["--manifest", "--vocab", "--methods", "--lm", "--model",
                    "--runs", "--temperature", "--mock", "--mock-replies",
-                   "--language", "--out"]),
+                   "--language", "--speech-rate-unit", "--out"]),
         ("eval", ["--manifest", "--vocab", "--methods", "--out", "--lm",
                   "--dataset-name", "--language", "--mock",
                   "--model", "--runs", "--speech-rate-unit"]),
-        ("baselines", ["--manifest", "--methods", "--speech-rate-unit", "--out"]),
         ("report", ["--llm-accuracy"]),
     ])
     def test_subcommand_help_enumerates_flags(self, capsys, subcommand, flags):

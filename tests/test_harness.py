@@ -240,7 +240,7 @@ class TestPipeline:
     def test_report_cells_replayable_from_utterance_scores(self, corpus_run):
         result, _ = corpus_run
         replayed = {(rr.method, rr.model_name, rr.run_index): rr.pearson_r
-                    for rr in replay_run_results(result.run_dir)}
+                    for rr in replay_run_results(result.run_dir)[0]}
         original = {(rr.method, rr.model_name, rr.run_index): rr.pearson_r
                     for rr in result.run_results}
         assert replayed == original

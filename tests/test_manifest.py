@@ -66,6 +66,24 @@ def test_non_finite_number_rejected_with_line(tmp_path, key, literal):
     assert ":2:" in str(err.value) and key in str(err.value)
 
 
+def test_number_too_large_for_a_float_rejected_with_line(tmp_path):
+    # json reads the literal as an int, which float() cannot convert
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"utterance_id": "u1", "speaker_id": "s", "posterior_path": "p", '
+                    f'"rating": 1{"0" * 400}}}\n')
+    with pytest.raises(ManifestFormatError) as err:
+        load_manifest(path)
+    assert f"{path}:1: rating" in str(err.value)
+
+
+def test_non_utf8_file_rejected_with_path(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(b"\xff\xfe" + '{"utterance_id": "u1"}\n'.encode("utf-16-le"))
+    with pytest.raises(ManifestFormatError) as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+
+
 def test_round_trip_is_identity_on_all_fields(tmp_path):
     records = [
         UtteranceRecord(utterance_id="u1", speaker_id="s1", posterior_path="p/u1",

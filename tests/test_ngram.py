@@ -75,6 +75,26 @@ class TestParsing:
         model = load_arpa(path)
         assert model.word_logprob("b") == pytest.approx(math.log(0.5), abs=1e-12)
 
+    def test_load_rejects_non_utf8_file_with_path(self, tmp_path):
+        path = tmp_path / "lm.arpa"
+        path.write_bytes(b"\xff\xfe" + UNIGRAM_ARPA.encode("utf-16-le"))
+        with pytest.raises(ArpaFormatError) as err:
+            load_arpa(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("-0.5\ta\t-0.3", "-0.5\ta\tnan", ArpaFormatError),
+        ("ngram 2=2", "ngram 2=3", CountMismatchError),
+        ("\\end\\", "", TruncatedModelError),
+    ], ids=["line", "counts", "truncated"])
+    def test_load_errors_name_the_file(self, tmp_path, old, new, error):
+        path = tmp_path / "lm.arpa"
+        path.write_text(BIGRAM_ARPA.replace(old, new))
+        with pytest.raises(error) as err:
+            load_arpa(path)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"{path}: ")
+
 
 class TestBackoffQueries:
     def test_explicit_bigram_returned_directly(self, bigram_model):

@@ -59,6 +59,14 @@ def test_empty_symbol_line_rejected(tmp_path):
         load_vocabulary(path)
 
 
+def test_non_utf8_file_rejected_with_path(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"\xff\xfe" + "<blank>\n|\na\n".encode("utf-16-le"))
+    with pytest.raises(VocabularyError) as err:
+        load_vocabulary(path)
+    assert str(path) in str(err.value)
+
+
 def test_constructor_rejects_blank_equal_delimiter():
     with pytest.raises(VocabularyError):
         Vocabulary(symbols=("x", "y"), blank_index=0, delimiter_index=0)
