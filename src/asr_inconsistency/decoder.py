@@ -7,24 +7,36 @@ separate probability mass for paths ending in blank vs. non-blank, merged
 by log-sum-exp, with a word-level language model fused in at every word
 boundary and once more at the end of the utterance.
 
-The beam is a struct of arrays. Each surviving prefix is one slot, and
-each per-slot value (the two masses, LM log-prob and word count, trie node,
-parent node and last symbol, interned LM state) is one entry of a numpy
-array, so a frame's bookkeeping is array operations, not a Python loop over
-the slots. The frame scores every extension of every slot as a plain mass
-in one (slots x symbols) array. An extension whose prefix is already in the
-beam merges into that prefix's slot, which is the slot whose parent node is
-the extended slot's node. Every other extension is a new child whose mass
-is that single term. So the frame's best total is known before any child
-exists, and the floor (best total plus `prune_logp_floor`) drops exactly
-the children the full search would have built and dropped. Only the
-`beam_width` survivors become Python objects: prefix tuples and partial
-words are lists gathered by survivor index.
+The beam is a struct of arrays. Each surviving prefix is one slot, one
+column of a float matrix (the two masses, ln P of the completed words and
+of closing the partial word) and of an int matrix (word count, trie node,
+parent node and last symbol, interned LM state before and after closing
+the partial word), so a frame's bookkeeping is array operations, not a
+Python loop over the slots. The frame scores every extension of every slot
+as a plain mass in one (slots x symbols) array. An extension whose prefix
+is already in the beam merges into that prefix's slot, which is the slot
+whose parent node is the extended slot's node. Every other extension is a
+new child whose mass is that single term. So the frame's best total is
+known before any child exists, and the floor (best total plus
+`prune_logp_floor`) drops exactly the children the full search would have
+built and dropped. The children's fused scores are one more (slots x
+symbols) array, and only the `beam_width` survivors become slots.
+
+Each slot also keeps its prefix as a string key, chr(symbol) per
+symbol. Keys compare like the symbol tuples, a shorter prefix first, so one
+sort of the tied candidates' keys breaks a tie at the beam's cut, and
+prefix tuples are built only for the finished beams. A slot's partial word
+is the text after the last delimiter of its key.
 
 A delimiter child completes its parent's partial word and scores it with
 the LM. Each slot carries that score, ln P and the next LM state, from the
 first frame its delimiter child passes the floor until its partial word
-changes. `lm.advance` runs once per (LM state, word) in a search.
+changes. LM states are canonical: `NGramModel.advance` drops the history
+up to the last word that no n-gram contains, so every state after such a
+word is the empty history. When the model has no <unk>, such a word scores
+the OOV floor into the empty history whatever the state, so one set test
+answers it. Only the other words reach `lm.advance`, once per (state,
+word) in a search.
 
 The search is still exact. A prefix's mass has at most two non-blank terms
 (a repeat of its last symbol and an extension of its parent prefix) and one
@@ -36,13 +48,14 @@ So the masses, scores and tie-breaks equal those of building every child.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBeamError
-from .ngram import NGramModel
+from .ngram import OOV_FLOOR_LN, NGramModel
 from .posteriors import PosteriorMatrix
 from .transcript import Transcript
 from .vocab import Vocabulary
@@ -138,45 +151,87 @@ class DecodedBeam:
     score: float
 
 
-def _memoised_advance(lm: NGramModel | None):
-    """lm.advance cached per (LM state, word) for one search.
+def _word_closer(lm: NGramModel | None):
+    """Scores the partial words one search completes.
 
-    LM states are interned, so the search carries each as a small int:
-    `advance(state_id, word)` returns (ln P(word | state), next state id),
-    and `states[state_id]` is the state tuple itself.
+    LM states are interned, so the search carries each as a small int, and
+    `states[state_id]` is the state tuple itself. `close(state_ids, words)`
+    returns ln P(word | state) and the next state id of every pair, as two
+    arrays. `lm.advance` returns the shortest equivalent state, so every
+    state that ends in a word no n-gram contains is the empty history. When
+    the model has no <unk>, such a word scores the OOV floor in any state:
+    one set test answers it, and it never reaches `lm.advance`. Without a
+    model every word scores 0 into the one empty state. Every other word
+    calls `lm.advance` once per (state, word).
     """
     states = [lm.initial_context() if lm is not None else ()]
     state_ids = {states[0]: 0}
     cache: dict[tuple[int, str], tuple[float, int]] = {}
 
+    def intern(state: tuple[str, ...]) -> int:
+        state_id = state_ids.get(state)
+        if state_id is None:
+            state_id = state_ids[state] = len(states)
+            states.append(state)
+        return state_id
+
     def advance(state_id: int, word: str) -> tuple[float, int]:
         key = (state_id, word)
         hit = cache.get(key)
         if hit is None:
-            word_lp, state = (lm.advance(states[state_id], word) if lm is not None
-                              else (0.0, ()))
-            next_id = state_ids.get(state)
-            if next_id is None:
-                next_id = state_ids[state] = len(states)
-                states.append(state)
-            hit = cache[key] = (word_lp, next_id)
+            word_lp, state = lm.advance(states[state_id], word)
+            hit = cache[key] = (word_lp, intern(state))
         return hit
 
-    return advance, states
+    if lm is None:
+        known, oov = frozenset(), (0.0, 0)
+    elif lm.unk_token is None:
+        known, oov = lm.known_words, (OOV_FLOOR_LN, intern(()))
+    else:  # an absent word scores P(<unk> | state): every word is looked up
+        known, oov = None, (np.nan, -1)
+
+    def close(state_ids: np.ndarray, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        word_lp = np.full(len(words), oov[0])
+        next_state = np.full(len(words), oov[1])
+        if known is None:
+            exact = list(range(len(words)))
+        else:
+            exact = [i for i, w in enumerate(words) if w.lower() in known]
+        if exact:
+            looked_up = [advance(s, words[i]) for i, s in zip(exact, state_ids[exact].tolist())]
+            word_lp[exact] = [lp for lp, _ in looked_up]
+            next_state[exact] = [s for _, s in looked_up]
+        return word_lp, next_state
+
+    return close, states
 
 
-def _top(scores: np.ndarray, width: int, prefix_of) -> list[int]:
-    """Indices of the `width` highest scores; ties at the cut go to the
-    smallest prefix, and only tied candidates have their prefix built."""
+def _top(scores: np.ndarray, width: int, keys_of) -> np.ndarray:
+    """Ascending indices of the `width` highest scores; ties at the cut go
+    to the smallest key, and only tied candidates have their key built."""
     n = len(scores)
     if n <= width:
-        return list(range(n))
+        return np.arange(n)
     cut = np.partition(scores, n - width)[n - width]
-    above = np.flatnonzero(scores > cut).tolist()
-    tied = np.flatnonzero(scores == cut).tolist()
-    if len(above) + len(tied) > width:
-        tied = sorted(tied, key=prefix_of)[:width - len(above)]
-    return above + tied
+    chosen = scores >= cut
+    extra = np.count_nonzero(chosen) - width
+    if extra > 0:
+        tied = (scores == cut).nonzero()[0]
+        keys = keys_of(tied)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        chosen[tied[order[len(keys) - extra:]]] = False
+    return chosen.nonzero()[0]
+
+
+def _grown(columns: np.ndarray, stay: np.ndarray, n_born: int, born: tuple) -> np.ndarray:
+    """The columns `stay` of a per-slot matrix, then `n_born` new columns
+    whose rows are the arrays or scalars in `born`."""
+    n_stay = len(stay)
+    out = np.empty((len(columns), n_stay + n_born), dtype=columns.dtype)
+    out[:, :n_stay] = columns[:, stay]
+    for row, value in zip(out, born):
+        row[n_stay:] = value
+    return out
 
 
 def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
@@ -193,37 +248,44 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
     symbols = vocab.symbols
     n_symbols = len(symbols)
     alpha, beta = cfg.alpha, cfg.beta
-    advance, lm_states = _memoised_advance(lm)
+    close_words, lm_states = _word_closer(lm)
+    # a prefix's key is the string of chr(symbol) over its symbols: keys
+    # compare like the symbol tuples, and a shorter prefix sorts first
+    symbol_keys = [chr(k) for k in range(n_symbols)]
+    delim_key = symbol_keys[delim]
+    text_of = dict(enumerate(symbols))  # str.translate table: key -> text
+
+    def partial_words(keys: list[str], slots: np.ndarray) -> list[str]:
+        """The text of the slots' partial words: what follows the last
+        delimiter of their prefixes."""
+        return [keys[i].rpartition(delim_key)[2].translate(text_of) for i in slots.tolist()]
+
     # node ids of a prefix trie kept for this call: a prefix's node is
     # node_of[node of prefix[:-1] * n_symbols + last symbol]; the empty
     # prefix is node 0
     node_of: dict[int, int] = {}
+    new_node = itertools.count(1)
 
-    # The beam, one entry per slot in each array: mass ending in blank and
-    # mass ending in the last symbol; ln P of the completed words and their
-    # count; the prefix's trie node, its parent's node and its last symbol
-    # (-1 for the empty prefix); the interned LM state; whether the partial
-    # word is non-empty; and what closing that partial word with a
-    # delimiter adds, ln P and the next LM state, looked up the first time
+    # The beam, one column per slot. floats: the mass ending in blank, the
+    # mass ending in the last symbol, ln P of the completed words, and ln P
+    # of closing the partial word with a delimiter. ints: the completed word
+    # count, the prefix's trie node, its parent's node, its last symbol (-1
+    # for the empty prefix), the interned LM state, and the LM state after
+    # closing the partial word. The closing pair is looked up the first time
     # the slot's delimiter child passes the floor (NaN and -1 until then).
-    # Prefix tuples and partial words stay Python lists.
-    logp_b = np.zeros(1)
-    logp_nb = np.full(1, NEG_INF)
-    lm_logp = np.zeros(1)
-    words = np.zeros(1, dtype=np.int64)
-    node = np.zeros(1, dtype=np.int64)
-    parent = np.full(1, -1, dtype=np.int64)
-    last = np.full(1, -1, dtype=np.int64)
-    state = np.zeros(1, dtype=np.int64)
-    open_word = np.zeros(1, dtype=bool)
-    close_lp = np.full(1, np.nan)
-    close_state = np.full(1, -1, dtype=np.int64)
-    prefixes: list[tuple[int, ...]] = [()]
-    partials = [""]
+    # keys: the prefix keys, a Python list.
+    floats = np.array([[0.0], [NEG_INF], [0.0], [np.nan]])
+    ints = np.array([[0], [0], [-1], [-1], [0], [-1]], dtype=np.int64)
+    keys = [""]
 
     for t in range(post.frame_count):
         row = post.frames[t]
-        n = len(prefixes)
+        logp_b, logp_nb, lm_logp, close_lp = floats
+        words, node, parent, last, state, close_state = ints
+        n = len(keys)
+        # a slot's partial word is open unless its prefix is empty or ends
+        # with the delimiter
+        open_word = (last >= 0) & (last != delim)
         totals = np.logaddexp(logp_b, logp_nb)
         if totals.max() == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: no surviving hypothesis")
@@ -237,7 +299,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         # extending slot i with symbol k draws on all of its mass, or only on
         # the blank-ending mass when k repeats its last symbol
         src = np.repeat(totals, n_symbols).reshape(n, n_symbols)
-        ends = np.flatnonzero(last >= 0)
+        ends = (last >= 0).nonzero()[0]
         src[ends, last[ends]] = logp_b[ends]
         src[:, blank] = NEG_INF
         ext = src + row
@@ -246,7 +308,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         # slot: slot j's prefix extends the slot whose node is j's parent
         by_node = np.argsort(node)
         at = np.minimum(np.searchsorted(node[by_node], parent), n - 1)
-        merged = np.flatnonzero(node[by_node[at]] == parent)
+        merged = (node[by_node[at]] == parent).nonzero()[0]
         if merged.size:
             rows = by_node[at[merged]]
             cols = last[merged]
@@ -267,84 +329,78 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
             raise EmptyBeamError(f"{post.utterance_id}: all hypotheses at -inf mass")
         floor = best_total + cfg.prune_logp_floor
 
-        kept = np.flatnonzero(keep_exists & (keep_totals >= floor))
-        flat = np.flatnonzero(is_new & (ext >= floor))
-        child_parent = flat // n_symbols
-        child_symbol = flat - child_parent * n_symbols
-        child_logp = ext.ravel()[flat]
-        child_lm = lm_logp[child_parent]
-        child_words = words[child_parent]
-        # a word boundary completes the parent's partial word and scores it
-        closing = np.flatnonzero((child_symbol == delim) & open_word[child_parent])
-        if closing.size:
-            closer = child_parent[closing]
-            todo = closer[np.isnan(close_lp[closer])]
-            if todo.size:
-                looked_up = [advance(s, partials[i])
-                             for s, i in zip(state[todo].tolist(), todo.tolist())]
-                close_lp[todo] = [word_lp for word_lp, _ in looked_up]
-                close_state[todo] = [s for _, s in looked_up]
-            child_lm[closing] += close_lp[closer]
-            child_words[closing] += 1
-        # fused_score, element by element in the same order of operations
-        scores = np.concatenate((
-            keep_totals[kept] + alpha * lm_logp[kept] + beta * words[kept],
-            child_logp + alpha * child_lm + beta * child_words))
+        kept = (keep_exists & (keep_totals >= floor)).nonzero()[0]
+        is_child = is_new & (ext >= floor)
+        # a delimiter child completes its parent's partial word and scores it
+        closer = (open_word & is_child[:, delim]).nonzero()[0]
+        todo = closer[np.isnan(close_lp[closer])]
+        if todo.size:
+            close_lp[todo], close_state[todo] = close_words(
+                state[todo], partial_words(keys, todo))
+        # fused_score, element by element in the same order of operations,
+        # with the completed word's ln P and count for a delimiter child
+        lm_term = alpha * lm_logp
+        words_term = beta * words
+        child_scores = ext + lm_term[:, None] + words_term[:, None]
+        child_scores[closer, delim] = (ext[closer, delim]
+                                       + alpha * (lm_logp[closer] + close_lp[closer])
+                                       + beta * (words[closer] + 1))
+        kept_scores = (keep_totals + lm_term + words_term)[kept]
         n_kept = len(kept)
+        if n_kept == cfg.beam_width:
+            # the cut is no lower than the worst kept score, so a child
+            # below it cannot make the beam
+            is_child &= child_scores >= kept_scores.min()
+        flat = is_child.ravel().nonzero()[0]
+        scores = np.concatenate((kept_scores, child_scores.ravel()[flat]))
 
-        def prefix_of(c: int) -> tuple[int, ...]:
-            if c < n_kept:
-                return prefixes[kept.item(c)]
-            c -= n_kept
-            return prefixes[child_parent.item(c)] + (child_symbol.item(c),)
+        def keys_of(c: np.ndarray) -> list[str]:
+            parents, syms = np.divmod(flat[c[c >= n_kept] - n_kept], n_symbols)
+            return [keys[i] for i in kept[c[c < n_kept]].tolist()] + [
+                keys[i] + symbol_keys[k] for i, k in zip(parents.tolist(), syms.tolist())]
 
-        chosen = np.sort(_top(scores, cfg.beam_width, prefix_of))
+        chosen = _top(scores, cfg.beam_width, keys_of)
         split = np.searchsorted(chosen, n_kept)
         stay = kept[chosen[:split]]
-        born = chosen[split:] - n_kept
-        born_parent = child_parent[born]
-        born_symbol = child_symbol[born]
-        closes = born_symbol == delim
-
-        logp_b = np.concatenate((keep_b[stay], np.full(len(born), NEG_INF)))
-        logp_nb = np.concatenate((keep_nb[stay], child_logp[born]))
-        lm_logp = np.concatenate((lm_logp[stay], child_lm[born]))
-        words = np.concatenate((words[stay], child_words[born]))
+        born = flat[chosen[split:] - n_kept]
+        born_parent, born_symbol = np.divmod(born, n_symbols)
+        n_born = len(born)
         parent_node = node[born_parent]
-        parent = np.concatenate((parent[stay], parent_node))
-        last = np.concatenate((last[stay], born_symbol))
-        state = np.concatenate((
-            state[stay],
-            np.where(closes & open_word[born_parent], close_state[born_parent],
-                     state[born_parent])))
-        open_word = np.concatenate((open_word[stay], ~closes))
-        close_lp = np.concatenate((close_lp[stay], np.full(len(born), np.nan)))
-        close_state = np.concatenate((close_state[stay], np.full(len(born), -1)))
+        closes = (born_symbol == delim) & open_word[born_parent]
+        born_lm = lm_logp[born_parent]
+        born_lm[closes] += close_lp[born_parent[closes]]
+        # closing a word moves a child to the LM state after it
+        born_state = np.where(closes, close_state[born_parent], state[born_parent])
+        # a new prefix takes the next node id, a returning one keeps its own
+        born_node = np.fromiter(map(
+            node_of.setdefault, (parent_node * n_symbols + born_symbol).tolist(), new_node),
+            np.int64, n_born)
+        # a slot that stays carries this frame's masses
+        logp_b[:], logp_nb[:] = keep_b, keep_nb
+        floats = _grown(floats, stay, n_born, (NEG_INF, ext.ravel()[born], born_lm, np.nan))
+        ints = _grown(ints, stay, n_born, (words[born_parent] + closes, born_node,
+                                           parent_node, born_symbol, born_state, -1))
+        keys = [keys[j] for j in stay.tolist()] + [
+            keys[i] + symbol_keys[k]
+            for i, k in zip(born_parent.tolist(), born_symbol.tolist())]
 
-        stay_l = stay.tolist()
-        born_l = list(zip(born_parent.tolist(), born_symbol.tolist()))
-        node = np.concatenate((node[stay], [
-            node_of.setdefault(key, len(node_of) + 1)
-            for key in (parent_node * n_symbols + born_symbol).tolist()]))
-        prefixes = ([prefixes[j] for j in stay_l]
-                    + [prefixes[i] + (k,) for i, k in born_l])
-        partials = ([partials[j] for j in stay_l]
-                    + [partials[i] + symbols[k] if k != delim else "" for i, k in born_l])
-
-    finished: list[DecodedBeam] = []
-    for prefix, total, lm_total, word_count, state_id, partial in zip(
-            prefixes, np.logaddexp(logp_b, logp_nb).tolist(), lm_logp.tolist(),
-            words.tolist(), state.tolist(), partials):
-        if partial:
-            if lm is not None:
-                word_lp, state_id = advance(state_id, partial)
-                lm_total += word_lp
-            word_count += 1
-        if lm is not None:
-            lm_total += lm.final_logprob(lm_states[state_id])
+    logp_b, logp_nb, lm_logp, _ = floats
+    words, _, _, last, state, _ = ints
+    # close the partial words still open, then score the end of the sentence
+    open_word = (last >= 0) & (last != delim)
+    words = words + open_word
+    if lm is not None:
+        ends = open_word.nonzero()[0]
+        word_lp, state[ends] = close_words(state[ends], partial_words(keys, ends))
+        lm_logp[ends] += word_lp
+        end_lp = {s: lm.final_logprob(lm_states[s]) for s in set(state.tolist())}
+        lm_logp += [end_lp[s] for s in state.tolist()]
+    finished = []
+    for key, total, lm_total, word_count in zip(
+            keys, np.logaddexp(logp_b, logp_nb).tolist(), lm_logp.tolist(), words.tolist()):
         finished.append(DecodedBeam(
-            prefix=prefix,
-            words=tuple(labels_to_words(prefix, vocab)),
+            prefix=tuple(map(ord, key)),
+            words=tuple(w.translate(text_of) for w in key.split(delim_key) if w),
             acoustic_logp=total,
             lm_logp=lm_total,
             word_count=word_count,

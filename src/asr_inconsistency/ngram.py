@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import re
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,28 +40,34 @@ class NGramModel:
     unk_token: str | None = field(init=False, default=None)
     has_bos: bool = field(init=False, default=False)
     has_eos: bool = field(init=False, default=False)
+    # every word of every n-gram key; a history word outside it matches no
+    # entry, so neither it nor the words before it change a score
+    known_words: frozenset[str] = field(init=False, default=frozenset(), repr=False)
 
     def __post_init__(self) -> None:
         unigrams = self.tables[0]
         self.unk_token = UNK if (UNK,) in unigrams else None
         self.has_bos = (BOS,) in unigrams
         self.has_eos = (EOS,) in unigrams
+        self.known_words = frozenset(w for table in self.tables for key in table for w in key)
 
     # --- queries (natural log) ---------------------------------------------
 
     def word_logprob(self, word: str, history: tuple[str, ...] = ()) -> float:
         """Back-off conditional log-probability ln P(word | history).
 
-        Queries are lowercased (except the reserved boundary tokens) to match
-        transcript normalization. An out-of-vocabulary word maps to the
-        model's unk token when it has one, otherwise the OOV floor applies.
+        Queries are lowercased to match transcript normalization (the
+        reserved boundary tokens already are). An out-of-vocabulary word maps
+        to the model's unk token when it has one, otherwise the OOV floor
+        applies. A history word that no n-gram contains matches no entry and
+        backs off with weight 0, so only the words after it count.
         """
-        word = self._fold(word)
+        word = word.lower()
         if (word,) not in self.tables[0]:
             if self.unk_token is None:
                 return OOV_FLOOR_LN
             word = self.unk_token
-        history = tuple(self._fold(w) for w in history)
+        history = tuple(w.lower() for w in history)
         if self.order > 1:
             history = history[-(self.order - 1):]
         else:
@@ -85,24 +92,25 @@ class NGramModel:
         return (BOS,) if self.has_bos else ()
 
     def advance(self, context: tuple[str, ...], word: str) -> tuple[float, tuple[str, ...]]:
-        """Score one word in context and return the shifted context."""
+        """Score one word in context and return the shifted context.
+
+        The context returned is the shortest equivalent one: it keeps only
+        the words after the last word that no n-gram contains, because every
+        query scores the same with or without the words up to that one.
+        """
         logp = self.word_logprob(word, context)
-        if self.order > 1:
-            context = (*context, self._fold(word))[-(self.order - 1):]
-        else:
-            context = ()
+        if self.order == 1:
+            return logp, ()
+        context = (*context, word.lower())[-(self.order - 1):]
+        for i in range(len(context) - 1, -1, -1):
+            if context[i] not in self.known_words:
+                return logp, context[i + 1:]
         return logp, context
 
     def final_logprob(self, context: tuple[str, ...]) -> float:
         return self.word_logprob(EOS, context) if self.has_eos else 0.0
 
     # --- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _fold(word: str) -> str:
-        if word in (BOS, EOS, UNK):
-            return word
-        return word.lower()
 
     def _logprob10(self, ngram: tuple[str, ...]) -> float:
         n = len(ngram)
@@ -208,7 +216,10 @@ def load_arpa(path: str | Path) -> NGramModel:
     name the file."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ArpaFormatError(f"{path}: corrupt gzip data: {exc}") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

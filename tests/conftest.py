@@ -62,6 +62,99 @@ def bigram_model():
     return parse_arpa(BIGRAM_ARPA)
 
 
+# models over words spelled from the symbols a, b and c, for the decoder's
+# word-boundary paths. A bigram with <unk>, <unk> n-grams and boundary
+# tokens, so P(b | <unk>) differs from P(b | ())
+UNK_BIGRAM_ARPA = """\
+\\data\\
+ngram 1=6
+ngram 2=5
+
+\\1-grams:
+-99\t<s>\t-0.2
+-0.9\t</s>
+-1.0\t<unk>\t-0.4
+-0.5\ta\t-0.3
+-0.6\tb\t-0.1
+-0.8\tab
+
+\\2-grams:
+-0.1\t<unk> b
+-0.2\ta <unk>
+-0.3\t<s> a
+-0.4\tab </s>
+-0.7\tb <unk>
+
+\\end\\
+"""
+
+# a trigram with back-off at orders 1 and 2
+TRIGRAM_ARPA = """\
+\\data\\
+ngram 1=5
+ngram 2=4
+ngram 3=3
+
+\\1-grams:
+-99\t<s>\t-0.3
+-0.7\t</s>
+-0.5\ta\t-0.2
+-0.6\tb\t-0.25
+-0.9\tca\t-0.1
+
+\\2-grams:
+-0.3\t<s> a\t-0.15
+-0.4\ta b\t-0.35
+-0.2\tb a\t-0.05
+-0.5\tca </s>
+
+\\3-grams:
+-0.1\t<s> a b
+-0.2\ta b a
+-0.15\tb a </s>
+
+\\end\\
+"""
+
+# upper-case entries: queries are lowercased, so "B" and "Ab" never match
+UPPER_CASE_ARPA = """\
+\\data\\
+ngram 1=3
+ngram 2=2
+
+\\1-grams:
+-0.5\ta\t-0.3
+-0.6\tB\t-0.2
+-0.8\tAb
+
+\\2-grams:
+-0.3\ta B
+-0.4\tB a
+
+\\end\\
+"""
+
+# "ca" has no unigram, so it scores the OOV floor, but the bigrams "ca b"
+# and "b ca" contain it, so P(b | ca) is not P(b)
+BIGRAM_ONLY_WORD_ARPA = """\
+\\data\\
+ngram 1=3
+ngram 2=3
+
+\\1-grams:
+-0.5\ta\t-0.3
+-0.6\tb\t-0.2
+-0.7\tc
+
+\\2-grams:
+-0.3\ta b
+-0.4\tca b
+-0.2\tb ca
+
+\\end\\
+"""
+
+
 @pytest.fixture(scope="session")
 def synthetic_corpus(tmp_path_factory):
     from asr_inconsistency.synthetic import generate_corpus

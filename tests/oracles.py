@@ -292,7 +292,8 @@ def t_sf_numeric(t: float, df: float) -> float:
     xs = t + np.tan(thetas)
     jac = 1.0 / np.cos(thetas) ** 2
     ys = np.array([t_pdf(float(x), df) for x in xs]) * jac
-    return float(np.trapezoid(ys, thetas))
+    # the trapezoid rule written out (np.trapezoid needs numpy >= 2.0)
+    return float(np.sum((ys[1:] + ys[:-1]) * np.diff(thetas)) / 2.0)
 
 
 def welch_oracle(a, b) -> tuple[float, float]:

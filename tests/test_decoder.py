@@ -6,6 +6,7 @@ import pytest
 
 from asr_inconsistency import (
     DecoderConfig,
+    NGramModel,
     PosteriorMatrix,
     RawPath,
     Vocabulary,
@@ -24,7 +25,15 @@ from asr_inconsistency.errors import EmptyBeamError
 from asr_inconsistency.synthetic import LEXICON
 
 import oracles
-from conftest import matrix_from_probs, peaked_rows, random_log_matrix
+from conftest import (
+    BIGRAM_ONLY_WORD_ARPA,
+    TRIGRAM_ARPA,
+    UNK_BIGRAM_ARPA,
+    UPPER_CASE_ARPA,
+    matrix_from_probs,
+    peaked_rows,
+    random_log_matrix,
+)
 
 NO_FUSION = DecoderConfig(alpha=0.0, beta=0.0, beam_width=256,
                           prune_logp_floor=float("-inf"))
@@ -423,6 +432,80 @@ class TestArraySearchOnLongerInputs:
             assert type(beam.lm_logp) is float
             assert type(beam.word_count) is int
             assert type(beam.score) is float
+
+
+# (model, symbols): every way a word boundary is scored. Without <unk> a
+# word no n-gram contains takes the OOV floor without an lm.advance call;
+# with <unk> every word is looked up; "ca" appears only in bigram keys, so
+# it scores the floor but the state after it is not the empty history; an
+# upper-case symbol is lowercased before the set test, like every query
+WORD_BOUNDARY_MODELS = {
+    "unk_bigram": (UNK_BIGRAM_ARPA, ("<blank>", "|", "a", "b", "c")),
+    "trigram": (TRIGRAM_ARPA, ("<blank>", "|", "a", "b", "c")),
+    "upper_case": (UPPER_CASE_ARPA, ("<blank>", "|", "A", "b", "c")),
+    "bigram_only_word": (BIGRAM_ONLY_WORD_ARPA, ("<blank>", "|", "a", "b", "c")),
+    "no_lm": (None, ("<blank>", "|", "a", "b", "c")),
+}
+
+
+class TestWordBoundariesMatchReference:
+    """The OOV set test and the canonical LM states give the reference
+    search's beam lists bit for bit, and only in-vocabulary words reach
+    NGramModel.advance, once per (state, word)."""
+
+    @pytest.mark.parametrize("name", list(WORD_BOUNDARY_MODELS))
+    def test_seeded_cases_equal_the_reference_exactly(self, name):
+        arpa, symbols = WORD_BOUNDARY_MODELS[name]
+        lm = parse_arpa(arpa) if arpa is not None else None
+        vocab = Vocabulary(symbols, 0, 1)
+        rng = np.random.default_rng(list(WORD_BOUNDARY_MODELS).index(name) + 2014)
+        settings = itertools.product((2, 8, 100), (-3.0, float("-inf")),
+                                     ((0.3, 0.5), (1.0, 0.0)))
+        for width, floor, (alpha, beta) in settings:
+            cfg = DecoderConfig(alpha=alpha, beta=beta, beam_width=width,
+                                prune_logp_floor=floor)
+            for kind in ("dirichlet", "uniform", "quantised", "peaked", "tiny", "holes"):
+                # four frames or more spell two words, such as "ca|b"
+                logs = _random_rows(rng, kind, int(rng.integers(4, 10)), len(symbols))
+                post = (PosteriorMatrix("u", logs) if kind == "holes"
+                        else PosteriorMatrix.from_array("u", logs))
+                expected = _decode_or_error(
+                    oracles.reference_decode_beams, post, vocab, lm, cfg)
+                assert _decode_or_error(decode_beams, post, vocab, lm, cfg) == expected, \
+                    (name, kind, cfg)
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.0])
+    def test_advance_runs_once_per_state_and_known_word(
+            self, synthetic_corpus, temperature, monkeypatch):
+        post, vocab = _padded_corpus_utterance(synthetic_corpus, temperature)
+        lm = parse_arpa(_lexicon_bigram_arpa())
+        calls = []
+        advance = NGramModel.advance
+
+        def recording(model, context, word):
+            calls.append((context, word))
+            return advance(model, context, word)
+
+        monkeypatch.setattr(NGramModel, "advance", recording)
+        decode_beams(post, vocab, lm, DecoderConfig())
+        assert calls
+        assert len(set(calls)) == len(calls)
+        for context, word in calls:
+            assert word.lower() in lm.known_words
+            assert set(context) <= lm.known_words
+
+
+def _padded_corpus_utterance(synthetic_corpus, temperature):
+    """The first default-corpus utterance with four blank frames after
+    every frame (T = 115), flattened by `temperature`."""
+    vocab = load_vocabulary(synthetic_corpus.vocab_path)
+    post = load_posteriors(
+        synthetic_corpus.root / synthetic_corpus.records[0].posterior_path, vocab)
+    blank_row = np.log(peaked_rows([vocab.blank_index], len(vocab), hot=0.994))[0]
+    rows = [r for frame in post.frames for r in [frame] + [blank_row] * 4]
+    logs = np.asarray(rows) / temperature
+    logs -= np.logaddexp.reduce(logs, axis=1, keepdims=True)
+    return PosteriorMatrix.from_array("padded", logs), vocab
 
 
 def _lexicon_bigram_arpa() -> str:

@@ -13,7 +13,7 @@ from asr_inconsistency.errors import (
 )
 from asr_inconsistency.ngram import OOV_FLOOR_LN, LN10
 
-from conftest import BIGRAM_ARPA
+from conftest import BIGRAM_ARPA, BIGRAM_ONLY_WORD_ARPA, TRIGRAM_ARPA, UNK_BIGRAM_ARPA
 
 UNIGRAM_ARPA = """\
 \\data\\
@@ -75,6 +75,19 @@ class TestParsing:
         model = load_arpa(path)
         assert model.word_logprob("b") == pytest.approx(math.log(0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda gz: b"\x1f\x8bgarbage",
+        lambda gz: gz[:10] + b"\xff" * (len(gz) - 18) + gz[-8:],
+        lambda gz: gz[:-8] + bytes(4) + gz[-4:],
+    ], ids=["EOFError", "zlib.error", "BadGzipFile"])
+    def test_corrupt_gzip_rejected_with_path(self, tmp_path, corrupt):
+        # a truncated stream, an invalid deflate block and a CRC mismatch
+        path = tmp_path / "lm.arpa.gz"
+        path.write_bytes(corrupt(gzip.compress(UNIGRAM_ARPA.encode())))
+        with pytest.raises(ArpaFormatError) as err:
+            load_arpa(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_load_rejects_non_utf8_file_with_path(self, tmp_path):
         path = tmp_path / "lm.arpa"
         path.write_bytes(b"\xff\xfe" + UNIGRAM_ARPA.encode("utf-16-le"))
@@ -130,6 +143,50 @@ class TestBackoffQueries:
             "\\1-grams:", "\\1-grams:\n-1.0\t<unk>")
         model = parse_arpa(arpa)
         assert model.word_logprob("zebra") == pytest.approx(-1.0 * LN10, abs=1e-12)
+
+
+class TestOovHistory:
+    """Today's rule for a history word that no n-gram contains: it matches
+    no entry and backs off with weight 0, so it and the words before it
+    drop out of the history. SRILM and KenLM map it to <unk> instead."""
+
+    def test_oov_history_word_scores_like_the_empty_history(self):
+        model = parse_arpa(UNK_BIGRAM_ARPA)
+        assert model.word_logprob("b", ("zzz",)) == model.word_logprob("b", ())
+        # the <unk> rule would give the listed bigram "<unk> b" instead
+        assert model.word_logprob("b", ("<unk>",)) == pytest.approx(-0.1 * LN10, abs=1e-12)
+        assert model.word_logprob("b", ()) == pytest.approx(-0.6 * LN10, abs=1e-12)
+
+    def test_known_words_cover_every_order(self):
+        model = parse_arpa(BIGRAM_ONLY_WORD_ARPA)
+        assert model.known_words == {"a", "b", "c", "ca"}
+        assert ("ca",) not in model.tables[0]
+
+    @pytest.mark.parametrize("arpa", [BIGRAM_ARPA, UNK_BIGRAM_ARPA, TRIGRAM_ARPA,
+                                      BIGRAM_ONLY_WORD_ARPA],
+                             ids=["bigram", "unk_bigram", "trigram", "bigram_only_word"])
+    def test_advanced_context_scores_like_the_whole_history(self, arpa):
+        # advance keeps only the words after the last one no n-gram
+        # contains; every next word, and </s>, scores as after the whole
+        # (order - 1)-word history, bit for bit
+        model = parse_arpa(arpa)
+        words = sorted(model.known_words) + ["zzz", "Zzz", "B", "CA"]
+        contexts = [(), ("a",), ("zzz",), ("b", "a"), ("zzz", "a"), ("a", "zzz")]
+        for context in contexts:
+            for word in words:
+                _, kept = model.advance(context, word)
+                whole = (*context, word.lower())[-(model.order - 1):]
+                assert set(kept) <= model.known_words
+                assert kept == whole[len(whole) - len(kept):]
+                for nxt in words:
+                    assert model.word_logprob(nxt, kept) == model.word_logprob(nxt, whole)
+                assert model.final_logprob(kept) == model.final_logprob(whole)
+
+    def test_oov_word_leaves_the_empty_context(self):
+        model = parse_arpa(TRIGRAM_ARPA)
+        assert model.advance(("a",), "zzz")[1] == ()
+        assert model.advance(("zzz",), "a")[1] == ("a",)
+        assert model.advance(("a",), "b")[1] == ("a", "b")
 
 
 class TestSequenceScoring:
