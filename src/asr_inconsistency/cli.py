@@ -16,6 +16,7 @@ from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
 from .errors import ToolkitError
 from .harness import (
+    KNOWN_METHODS,
     EvalConfig,
     LlmSpec,
     llm_accuracy_report,
@@ -50,14 +51,13 @@ def _add_decoder_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beam-width", type=int, default=100)
 
 
-def _add_scoring_args(parser: argparse.ArgumentParser, vocab_required: bool) -> None:
+def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
     """The flags of score and eval; both map them onto one EvalConfig."""
     parser.add_argument("--manifest", required=True)
-    parser.add_argument("--vocab", required=vocab_required,
+    parser.add_argument("--vocab",
                         help="CTC vocabulary; ngram, llm and reference_wer need it")
     parser.add_argument("--methods", required=True,
-                        help="comma-separated subset of "
-                             "speech_rate,wada_snr,ngram,llm,reference_wer")
+                        help="comma-separated subset of " + ",".join(KNOWN_METHODS))
     parser.add_argument("--lm", help="ARPA language model; ngram needs it")
     parser.add_argument("--language", default="unknown")
     parser.add_argument("--speech-rate-unit", default=WORDS_PER_MINUTE,
@@ -93,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser(
         "score", help="per-utterance scores of any manifest, no ratings needed")
-    _add_scoring_args(p_score, vocab_required=False)
+    _add_scoring_args(p_score)
     p_score.add_argument("--out", help="CSV output path (default stdout)")
 
     p_eval = sub.add_parser("eval", help="full evaluation run with a report")
-    _add_scoring_args(p_eval, vocab_required=True)
+    _add_scoring_args(p_eval)
     p_eval.add_argument("--out", required=True, help="run directory")
     p_eval.add_argument("--dataset-name")
 
@@ -155,13 +155,8 @@ def _build_llm_specs(args) -> list[LlmSpec]:
         if not models:
             models = ["mock-corrector"]
         tables = args.mock_replies or []
-        specs = []
-        for i, name in enumerate(models):
-            if i < len(tables):
-                specs.append(LlmSpec(name, MockCorrector.from_json(tables[i])))
-            else:
-                specs.append(LlmSpec(name, MockCorrector()))
-        return specs
+        return [LlmSpec(name, MockCorrector.from_json(tables[i]) if i < len(tables)
+                        else MockCorrector()) for i, name in enumerate(models)]
     missing = [v for v in (ENV_ENDPOINT, ENV_API_KEY) if not os.environ.get(v)]
     if missing:
         raise UsageError(

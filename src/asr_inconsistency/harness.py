@@ -17,7 +17,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import read_wav
@@ -41,9 +41,11 @@ from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
 
-KNOWN_METHODS = ("speech_rate", "wada_snr", "ngram", "llm", "reference_wer")
-# methods scored against the greedy transcript, so they need a vocabulary
-DECODED_METHODS = ("ngram", "llm", "reference_wer")
+# the one per-utterance input each method reads besides the ground truth, in
+# the report's row order; "decode" is the posterior and its greedy transcript
+METHOD_INPUTS = {"speech_rate": "duration", "wada_snr": "audio", "ngram": "decode",
+                 "llm": "decode", "reference_wer": "decode"}
+KNOWN_METHODS = tuple(METHOD_INPUTS)
 SIGNIFICANCE_LEVEL = 0.05
 
 
@@ -72,7 +74,7 @@ class EvalConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
-            if m in DECODED_METHODS and self.vocab is None:
+            if METHOD_INPUTS[m] == "decode" and self.vocab is None:
                 raise ValueError(f"the {m} method needs a vocabulary")
         if "ngram" in self.methods and self.lm is None:
             raise ValueError("the ngram method needs a language model")
@@ -156,67 +158,73 @@ class PipelineResult:
 # per-utterance scoring
 
 
-def _resolve_duration(record: UtteranceRecord, base_dir: Path) -> float:
-    if record.duration_s is not None:
-        return record.duration_s
-    if record.audio_path is not None:
-        return read_wav(base_dir / record.audio_path).duration_s
-    raise MissingDurationError(
-        f"{record.utterance_id}: neither duration_s nor audio_path present")
-
-
 def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceResult:
-    """Decode (when the config has a vocabulary) and score one utterance;
-    per-method failures are recorded, not raised."""
+    """Score one utterance by the config's methods, reading each input of
+    METHOD_INPUTS at most once and only for the methods that read it. A failed
+    input excludes only those methods. Failures are recorded, not raised: a
+    failed decode once, as "decode", any other under its method's name."""
     result = UtteranceResult(record=record)
     uid = record.utterance_id
-    if config.vocab is not None:
-        try:
-            post = load_posteriors(config.base_dir / record.posterior_path, config.vocab)
-            result.greedy = collapse(greedy_decode(post), config.vocab)
-        except (ToolkitError, OSError) as exc:
-            result.errors.append(("decode", str(exc)))
-            return result
-
     if record.ground_truth_text is not None:
         result.ground_truth = Transcript.from_raw(record.ground_truth_text)
+    # each input read, or the error reading it raised; a manifest duration_s is one
+    inputs: dict = {} if record.duration_s is None else {"duration": record.duration_s}
+
+    def read(source: str):
+        if source not in inputs:
+            try:
+                if source == "decode":
+                    inputs[source] = load_posteriors(
+                        config.base_dir / record.posterior_path, config.vocab)
+                    result.greedy = collapse(greedy_decode(inputs[source]), config.vocab)
+                elif record.audio_path is None:
+                    raise MissingDurationError(f"{uid}: " + (
+                        "neither duration_s nor audio_path present"
+                        if source == "duration" else "no audio_path for wada_snr"))
+                elif source == "duration":
+                    inputs[source] = read("audio").duration_s
+                else:
+                    inputs[source] = read_wav(config.base_dir / record.audio_path)
+            except (ToolkitError, OSError) as exc:
+                inputs[source] = exc
+                if source == "decode":
+                    result.errors.append(("decode", str(exc)))
+        if isinstance(inputs[source], Exception):
+            raise inputs[source]
+        return inputs[source]
 
     for method in config.methods:
         try:
+            value = read(METHOD_INPUTS[method])
             if method == "ngram":
-                ref = beam_search_decode(post, config.vocab, config.lm, config.decoder)
+                ref = beam_search_decode(value, config.vocab, config.lm, config.decoder)
                 result.references["ngram"] = ref
                 result.scores.append(
                     inconsistency_score(result.greedy, ref, uid, method="ngram"))
             elif method == "llm":
                 _score_llm(result, config)
             elif method == "speech_rate":
-                duration = _resolve_duration(record, config.base_dir)
                 result.scores.append(speech_rate(
-                    result.ground_truth, duration, uid,
-                    unit=config.speech_rate_unit))
+                    result.ground_truth, value, uid, unit=config.speech_rate_unit))
             elif method == "wada_snr":
-                if record.audio_path is None:
-                    raise MissingDurationError(f"{uid}: no audio_path for wada_snr")
-                buffer = read_wav(config.base_dir / record.audio_path)
-                result.scores.append(wada_snr(buffer, uid))
+                result.scores.append(wada_snr(value, uid))
             elif method == "reference_wer":
                 result.scores.append(
                     reference_wer(result.greedy, result.ground_truth, uid))
         except (ToolkitError, OSError) as exc:
-            result.errors.append((method, str(exc)))
+            if exc is not inputs.get("decode"):  # that one is recorded once
+                result.errors.append((method, str(exc)))
     return result
 
 
 def _score_llm(result: UtteranceResult, config: EvalConfig) -> None:
     uid = result.record.utterance_id
-    if result.greedy is None or not result.greedy.words:
+    if not result.greedy.words:
         raise PipelineError(f"{uid}: empty greedy transcript, nothing to correct")
     for spec in config.llm_models:
-        corrections = correct_with_llm(
-            spec.client, result.greedy, config.language, spec.model_name,
-            runs=config.llm_runs, temperature=config.llm_temperature)
-        for corr in corrections:
+        for corr in correct_with_llm(
+                spec.client, result.greedy, config.language, spec.model_name,
+                runs=config.llm_runs, temperature=config.llm_temperature):
             label = f"llm_{spec.model_name}_run{corr.run_index}"
             result.references[label] = corr.corrected
             result.raw_replies[label] = corr.raw_reply
@@ -510,7 +518,7 @@ def _safe_name(name: str) -> str:
 def _persist(results: list[UtteranceResult], run_dir: Path) -> None:
     tdir = run_dir / "transcripts"
     for res in results:
-        if res.greedy is None and not res.references:
+        if res.greedy is None and res.ground_truth is None and not res.references:
             continue
         udir = tdir / _safe_name(res.record.utterance_id)
         udir.mkdir(parents=True, exist_ok=True)
@@ -564,10 +572,7 @@ def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
 
     snapshot = dict(config.snapshot)
     snapshot.setdefault("methods", list(config.methods))
-    snapshot.setdefault("decoder", {
-        "alpha": config.decoder.alpha, "beta": config.decoder.beta,
-        "beam_width": config.decoder.beam_width,
-        "prune_logp_floor": config.decoder.prune_logp_floor})
+    snapshot.setdefault("decoder", asdict(config.decoder))
     snapshot.setdefault("llm_runs", config.llm_runs)
     snapshot.setdefault("llm_temperature", config.llm_temperature)
     snapshot.setdefault("dataset_name", config.dataset_name)

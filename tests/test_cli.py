@@ -214,13 +214,17 @@ class TestScore:
         assert out_csv.read_bytes() == (
             quickstart_run / "utterance_scores.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["score", "eval"])
     def test_decoded_method_without_vocab_is_usage_error(self, synthetic_corpus,
-                                                         capsys):
-        code, out, err = run_cli(capsys, "score",
+                                                         tmp_path, capsys, command):
+        fresh = tmp_path / "out"
+        code, out, err = run_cli(capsys, command,
                                  "--manifest", str(synthetic_corpus.manifest_path),
-                                 "--methods", "speech_rate,reference_wer")
+                                 "--methods", "speech_rate,reference_wer",
+                                 "--out", str(fresh))
         assert code == 2 and out == ""
         assert err == "error: the reference_wer method needs a vocabulary\n"
+        assert not fresh.exists()
 
     def test_llm_without_mock_or_env_is_usage_error(self, synthetic_corpus,
                                                     tmp_path, capsys, monkeypatch):
@@ -241,7 +245,63 @@ class TestScore:
         assert code == 2
 
 
+class TestScoreUtterance:
+    """Each input is read only for the methods that read it, so a failed
+    decode excludes only ngram, llm and reference_wer."""
+
+    def test_failed_decode_keeps_the_baseline_rows(self, synthetic_corpus, tmp_path,
+                                                   capsys):
+        manifest = tmp_path / "m.jsonl"
+        objs = write_manifest_lines(manifest, synthetic_corpus, 3,
+                                    {1: {"posterior_path": "missing.ctcp"}})
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_cli(capsys, "score", "--manifest", str(manifest),
+                               "--vocab", str(synthetic_corpus.vocab_path),
+                               "--lm", str(synthetic_corpus.lm_path),
+                               "--methods", "ngram,speech_rate",
+                               "--out", str(out_csv))
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"warning: {objs[1]['utterance_id']}: decode: ")
+        first, middle, last = (obj["utterance_id"] for obj in objs)
+        assert [(r["utterance_id"], r["method"])
+                for r in csv.DictReader(out_csv.open())] == [
+            (first, "ngram"), (first, "speech_rate"), (middle, "speech_rate"),
+            (last, "ngram"), (last, "speech_rate")]
+
+    def test_baselines_with_a_vocabulary_read_no_posterior(self, synthetic_corpus,
+                                                           tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest_lines(manifest, synthetic_corpus, 3,
+                             {1: {"posterior_path": "missing.ctcp"}})
+        out_csv = tmp_path / "scores.csv"
+        code, out, err = run_cli(capsys, "score", "--manifest", str(manifest),
+                                 "--vocab", str(synthetic_corpus.vocab_path),
+                                 "--methods", "speech_rate,wada_snr",
+                                 "--out", str(out_csv))
+        assert (code, out, err) == (0, "", "")
+        rows = list(csv.DictReader(out_csv.open()))
+        assert len(rows) == 6 and all(r["value"] for r in rows)
+
+
 class TestEval:
+    def test_baselines_need_no_vocabulary(self, synthetic_corpus, eval_values,
+                                          tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "eval",
+                               "--manifest", str(synthetic_corpus.manifest_path),
+                               "--methods", "speech_rate,wada_snr",
+                               "--out", str(run_dir))
+        assert code == 0 and err == ""
+        with open(run_dir / "utterance_scores.csv", encoding="utf-8") as fin:
+            assert {(r["utterance_id"], r["method"]): r["value"]
+                    for r in csv.DictReader(fin)} == {
+                key: value for key, value in eval_values.items()
+                if key[1] in ("speech_rate", "wada_snr")}
+        # no method read a decode, so the ground truth is the one transcript kept
+        tdir = run_dir / "transcripts" / next(iter(eval_values))[0]
+        assert [p.name for p in tdir.iterdir()] == ["ground_truth.txt"]
+
     def test_baseline_only_report(self, synthetic_corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
         code, out, _ = run_cli(capsys, "eval",

@@ -19,8 +19,10 @@ from asr_inconsistency import (
 from asr_inconsistency.errors import (
     EmptyGroupError,
     PipelineError,
+    PosteriorFormatError,
     RatingMismatchError,
 )
+from asr_inconsistency import harness
 from asr_inconsistency.harness import (
     build_report,
     render_report_text,
@@ -384,3 +386,69 @@ class TestScoreUtterance:
         assert result.scores and result.scores[0].method == "speech_rate"
         # 0.35 s of audio at 5 words -> about 857 words per minute
         assert result.scores[0].value == pytest.approx(5 / 0.35 * 60, rel=1e-6)
+
+    def test_baselines_read_no_posterior(self, synthetic_corpus, monkeypatch):
+        def load_posteriors(*args):
+            raise PosteriorFormatError("the baselines read no posterior")
+
+        monkeypatch.setattr(harness, "load_posteriors", load_posteriors)
+        config = EvalConfig(methods=("speech_rate", "wada_snr"),
+                            vocab=load_vocabulary(synthetic_corpus.vocab_path),
+                            base_dir=synthetic_corpus.root)
+        rec = load_manifest(synthetic_corpus.manifest_path)[0]
+        result = score_utterance(rec, config)
+        assert [s.method for s in result.scores] == ["speech_rate", "wada_snr"]
+        assert result.errors == [] and result.greedy is None
+
+    def test_failed_decode_is_read_and_recorded_once(self, synthetic_corpus,
+                                                     monkeypatch):
+        calls = []
+
+        def load_posteriors(path, vocab):
+            calls.append(path)
+            raise PosteriorFormatError(f"{path}: bad")
+
+        monkeypatch.setattr(harness, "load_posteriors", load_posteriors)
+        config = EvalConfig(
+            methods=("ngram", "speech_rate", "llm", "reference_wer"),
+            vocab=load_vocabulary(synthetic_corpus.vocab_path),
+            lm=load_arpa(synthetic_corpus.lm_path),
+            llm_models=(LlmSpec("m", MockCorrector()),),
+            base_dir=synthetic_corpus.root)
+        rec = load_manifest(synthetic_corpus.manifest_path)[0]
+        result = score_utterance(rec, config)
+        assert len(calls) == 1
+        assert result.errors == [("decode", f"{calls[0]}: bad")]
+        assert [s.method for s in result.scores] == ["speech_rate"]
+
+    @staticmethod
+    def _baselines_without_duration(synthetic_corpus, monkeypatch, audio_path=None):
+        """Both baselines of the first record without its duration_s, and the
+        WAV paths they read."""
+        reads = []
+        read_wav = harness.read_wav
+        monkeypatch.setattr(harness, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        rec = load_manifest(synthetic_corpus.manifest_path)[0]
+        no_duration = UtteranceRecord(utterance_id=rec.utterance_id,
+                                      speaker_id=rec.speaker_id,
+                                      posterior_path=rec.posterior_path,
+                                      audio_path=audio_path or rec.audio_path,
+                                      ground_truth_text=rec.ground_truth_text)
+        config = EvalConfig(methods=("speech_rate", "wada_snr"),
+                            base_dir=synthetic_corpus.root)
+        return score_utterance(no_duration, config), reads
+
+    def test_wav_is_read_once_for_both_baselines(self, synthetic_corpus, monkeypatch):
+        result, reads = self._baselines_without_duration(synthetic_corpus, monkeypatch)
+        assert len(reads) == 1
+        assert [s.method for s in result.scores] == ["speech_rate", "wada_snr"]
+
+    def test_failed_wav_read_excludes_both_baselines(self, synthetic_corpus,
+                                                     monkeypatch):
+        result, reads = self._baselines_without_duration(
+            synthetic_corpus, monkeypatch, audio_path="missing.wav")
+        assert len(reads) == 1 and result.scores == []
+        (rate_stage, rate_message), (wada_stage, wada_message) = result.errors
+        assert (rate_stage, wada_stage) == ("speech_rate", "wada_snr")
+        assert rate_message == wada_message and "missing.wav" in rate_message
