@@ -71,9 +71,12 @@ class EvalConfig:
     snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            # a method scored twice would count twice in the speaker means
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is given twice")
             if METHOD_INPUTS[m] == "decode" and self.vocab is None:
                 raise ValueError(f"the {m} method needs a vocabulary")
         if "ngram" in self.methods and self.lm is None:

@@ -43,6 +43,9 @@ class NGramModel:
     # every word of every n-gram key; a history word outside it matches no
     # entry, so neither it nor the words before it change a score
     known_words: frozenset[str] = field(init=False, default=frozenset(), repr=False)
+    # the beam search's lexicon tries of known_words, one per vocabulary,
+    # built on first use (decoder.lexicon_of); not part of the model's value
+    lexicons: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         unigrams = self.tables[0]

@@ -226,6 +226,18 @@ class TestScore:
         assert err == "error: the reference_wer method needs a vocabulary\n"
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_repeated_method_is_usage_error(self, synthetic_corpus, tmp_path, capsys,
+                                            command):
+        fresh = tmp_path / "out"
+        code, out, err = run_cli(capsys, command,
+                                 "--manifest", str(synthetic_corpus.manifest_path),
+                                 "--methods", "speech_rate,wada_snr,speech_rate",
+                                 "--out", str(fresh))
+        assert code == 2 and out == ""
+        assert err == "error: method 'speech_rate' is given twice\n"
+        assert not fresh.exists()
+
     def test_llm_without_mock_or_env_is_usage_error(self, synthetic_corpus,
                                                     tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("LLM_ENDPOINT_URL", raising=False)

@@ -15,6 +15,7 @@ from asr_inconsistency import (
     decode_beams,
     fused_score,
     greedy_decode,
+    load_manifest,
     load_posteriors,
     load_vocabulary,
     parse_arpa,
@@ -521,3 +522,126 @@ def _lexicon_bigram_arpa() -> str:
         lines.append(f"-0.7\t{w} {LEXICON[(i + 5) % n]}")
     lines += ["", "\\end\\", ""]
     return "\n".join(lines)
+
+
+def _bigram_arpa(words: tuple[str, ...], unk: bool) -> str:
+    """A back-off bigram model over `words` (plus <unk> when asked), with
+    boundary tokens and each word followed by the next one."""
+    vocab = ("<s>", "</s>", *words) + (("<unk>",) if unk else ())
+    pairs = [("<s>", words[0])] + list(zip(words, words[1:] + words[:1]))
+    lines = ["\\data\\", f"ngram 1={len(vocab)}", f"ngram 2={len(pairs)}", "",
+             "\\1-grams:"]
+    lines += [f"{-99 if w == '<s>' else -0.3 - 0.1 * i}\t{w}\t-0.2"
+              for i, w in enumerate(vocab)]
+    lines += ["", "\\2-grams:"] + [f"-0.15\t{a} {b}" for a, b in pairs]
+    lines += ["", "\\end\\", ""]
+    return "\n".join(lines)
+
+
+# (word symbols, LM words): symbols whose texts lowercase in ways a
+# per-symbol trie could get wrong. A multi-character symbol spells what
+# two single letters spell; an upper-case symbol matches a lower-case word,
+# and an upper-case LM word matches no query; a capital sigma after a cased
+# letter lowercases to a final sigma unless a cased letter follows it,
+# skipping an apostrophe (and in "bς" only the final sigma follows "b"); a
+# dotted capital I lowercases to two characters
+TRICKY_LEXICONS = {
+    "multi_char": (("ch", "c", "h", "a"), ("ch", "cha", "hc", "cch", "ac", "h")),
+    "upper_case": (("A", "b", "C", "c"), ("ab", "cab", "Ab", "bc", "cc")),
+    "sigma": (("Σ", "σ", "ς", "A", "B", "'"),
+              ("σ", "aς", "aσa", "σς", "σσ", "a'ς", "a'σa", "ςa", "aσ", "bς")),
+    "dotted_i": (("İ", "i", "I", "̇"), ("i̇", "ii̇", "i̇i", "i", "ı")),
+}
+
+
+class TestLexiconMatchesTheStringRule:
+    """The lexicon trie answers every partial word like the string rule,
+    `"".join(texts).lower() in lm.known_words`, and closes it like
+    `lm.advance`, on every symbol sequence up to length 4."""
+
+    @pytest.mark.parametrize("unk", [False, True], ids=["no_unk", "unk"])
+    @pytest.mark.parametrize("name", list(TRICKY_LEXICONS))
+    def test_every_short_sequence(self, name, unk):
+        word_symbols, words = TRICKY_LEXICONS[name]
+        vocab = Vocabulary(("<blank>", "|", *word_symbols), 0, 1)
+        lm = parse_arpa(_bigram_arpa(words, unk))
+        lexicon = decoder.build_lexicon(lm.known_words, vocab)
+        close, states = decoder._word_closer(lm, lexicon)
+        sequences = [seq for n in range(1, 5)
+                     for seq in itertools.product(range(2, len(vocab)), repeat=n)]
+        nodes = np.zeros(len(sequences), dtype=np.int64)
+        for position in range(4):
+            stepping = [i for i, seq in enumerate(sequences) if len(seq) > position]
+            nodes[stepping] = lexicon.step(
+                nodes[stepping], np.array([sequences[i][position] for i in stepping]))
+        texts = ["".join(vocab.symbols[k] for k in seq) for seq in sequences]
+        known = [text.lower() in lm.known_words for text in texts]
+        assert lexicon.is_word[nodes].tolist() == known
+        assert any(known) and not all(known)
+        # close every sequence in the initial state, then in each state
+        # that closing a known word leads to
+        word_lp, next_state = close(np.zeros(len(nodes), dtype=np.int64), nodes)
+        for state_id in sorted({0, *next_state.tolist()}):
+            word_lp, next_state = close(np.full(len(nodes), state_id), nodes)
+            expected = [lm.advance(states[state_id], text) for text in texts]
+            assert [(lp, states[s]) for lp, s in
+                    zip(word_lp.tolist(), next_state.tolist())] == expected
+
+    @pytest.mark.parametrize("unk", [False, True], ids=["no_unk", "unk"])
+    @pytest.mark.parametrize("name", list(TRICKY_LEXICONS))
+    def test_seeded_cases_equal_the_reference_exactly(self, name, unk):
+        word_symbols, words = TRICKY_LEXICONS[name]
+        vocab = Vocabulary(("<blank>", "|", *word_symbols), 0, 1)
+        lm = parse_arpa(_bigram_arpa(words, unk))
+        rng = np.random.default_rng(list(TRICKY_LEXICONS).index(name) * 2 + unk + 1717)
+        settings = itertools.product((3, 30), (-4.0, float("-inf")), ((0.3, 0.5), (1.0, 0.0)))
+        for width, floor, (alpha, beta) in settings:
+            cfg = DecoderConfig(alpha=alpha, beta=beta, beam_width=width,
+                                prune_logp_floor=floor)
+            for kind in ("dirichlet", "uniform", "quantised", "peaked", "holes"):
+                logs = _random_rows(rng, kind, int(rng.integers(4, 9)), len(vocab))
+                post = (PosteriorMatrix("u", logs) if kind == "holes"
+                        else PosteriorMatrix.from_array("u", logs))
+                expected = _decode_or_error(
+                    oracles.reference_decode_beams, post, vocab, lm, cfg)
+                assert _decode_or_error(decode_beams, post, vocab, lm, cfg) == expected, \
+                    (name, unk, kind, cfg)
+
+
+class TestLexiconCache:
+    def test_built_once_per_model_and_vocabulary(self, synthetic_corpus, monkeypatch):
+        builds = []
+        build = decoder.build_lexicon
+
+        def counting(known_words, vocab):
+            builds.append(vocab)
+            return build(known_words, vocab)
+
+        monkeypatch.setattr(decoder, "build_lexicon", counting)
+        vocab = load_vocabulary(synthetic_corpus.vocab_path)
+        arpa = synthetic_corpus.lm_path.read_text(encoding="utf-8")
+        lm = parse_arpa(arpa)
+        for rec in load_manifest(synthetic_corpus.manifest_path):
+            decode_beams(load_posteriors(synthetic_corpus.root / rec.posterior_path, vocab),
+                         vocab, lm, DecoderConfig())
+        assert builds == [vocab]
+        # an equal vocabulary shares the trie, another one builds its own
+        assert decoder.lexicon_of(lm, load_vocabulary(synthetic_corpus.vocab_path)) \
+            is decoder.lexicon_of(lm, vocab)
+        other = Vocabulary(tuple(reversed(vocab.symbols)), len(vocab) - 1 - vocab.blank_index,
+                           len(vocab) - 1 - vocab.delimiter_index)
+        assert decoder.lexicon_of(lm, other) is not decoder.lexicon_of(lm, vocab)
+        assert builds == [vocab, other]
+        # the cache is no part of the model's value
+        fresh = parse_arpa(arpa)
+        assert lm == fresh
+        assert repr(lm) == repr(fresh)
+
+    def test_memory_grows_with_edges(self):
+        # a chain of n letters: n + 2 nodes and 2n + 2 edges, whatever the
+        # vocabulary's size
+        letters = tuple(chr(c) for c in range(ord("a"), ord("z") + 1))
+        vocab = Vocabulary(("<blank>", "|", *letters), 0, 1)
+        lexicon = decoder.build_lexicon(frozenset({"abcdefgh"}), vocab)
+        assert len(lexicon.is_word) == 10
+        assert len(lexicon.edge_keys) == len(lexicon.edge_nodes) == 8 + 10 + 1

@@ -329,6 +329,10 @@ class TestEvalConfig:
             EvalConfig(methods=(method,), vocab=None, lm=bigram_model,
                        llm_models=(LlmSpec("m", MockCorrector()),))
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="method 'wada_snr' is given twice"):
+            EvalConfig(methods=("wada_snr", "speech_rate", "wada_snr"))
+
     def test_unknown_speech_rate_unit_rejected(self):
         with pytest.raises(ValueError, match="speech rate unit"):
             EvalConfig(methods=("speech_rate",), speech_rate_unit="words_per_hour")
