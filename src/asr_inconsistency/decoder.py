@@ -22,7 +22,11 @@ whose mass is that single term. So the frame's best total is known before
 any child exists, and the floor (best total plus `prune_logp_floor`) drops
 exactly the children the full search would have built and dropped. The
 children's fused scores are one more (slots x symbols) array, and only the
-`beam_width` survivors become slots.
+`beam_width` survivors become slots. In a full beam a child scored below
+the worst kept slot cannot make the cut. A frame where no child passes the
+floor and that bound (most blank frames of a flattened, blank-padded
+utterance) ends once the kept slots carry its masses: it runs no cut, and
+builds no child, trie node or key.
 
 Each slot also keeps its prefix as a string key, chr(symbol) per symbol.
 Keys compare like the symbol tuples, a shorter prefix first, so one sort
@@ -46,7 +50,8 @@ floor, or P(<unk> | state) when the model has <unk>. Only known words reach
 
 At the end every open partial word is closed and the end of the sentence
 scored for all slots at once; one array of fused scores and one sort by
-(-score, key) order the finished beams.
+(-score, key) order the finished beams. Only the first `n_best` of them
+(all by default, one for `beam_search_decode`) are built as `DecodedBeam`s.
 
 The search is still exact. A prefix's mass has at most two non-blank terms
 (a repeat of its last symbol and an extension of its parent prefix) and one
@@ -373,14 +378,18 @@ def _grown(columns: np.ndarray, stay: np.ndarray, n_born: int, born: tuple) -> n
 
 
 def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
-                 lm: NGramModel | None, cfg: DecoderConfig) -> list[DecodedBeam]:
+                 lm: NGramModel | None, cfg: DecoderConfig,
+                 n_best: int | None = None) -> list[DecodedBeam]:
     """Run the prefix beam search and return surviving hypotheses, best first.
 
     With lm=None (or alpha=0) the score of a hypothesis is exactly the
     log-sum of all alignment paths that collapse to its prefix. Ties are
     broken toward the lexicographically smallest prefix, which makes the
-    search fully deterministic.
+    search fully deterministic. With `n_best`, only the first `n_best`
+    hypotheses of that list are built and returned; the search is the same.
     """
+    if n_best is not None and n_best < 1:
+        raise ValueError("n_best must be >= 1")
     blank = vocab.blank_index
     delim = vocab.delimiter_index
     symbols = vocab.symbols
@@ -487,6 +496,15 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
             # below it cannot make the beam
             is_child &= child_scores >= kept_scores.min()
         flat = is_child.ravel().nonzero()[0]
+        # a slot that stays carries this frame's masses
+        logp_b[:], logp_nb[:] = keep_b, keep_nb
+        if not flat.size:
+            # nothing is born: no more than beam_width slots are kept, so
+            # all of them stay, in their order
+            if n_kept < n:
+                floats, ints = floats[:, kept], ints[:, kept]
+                keys = [keys[j] for j in kept.tolist()]
+            continue
         scores = np.concatenate((kept_scores, child_scores.ravel()[flat]))
 
         def keys_of(c: np.ndarray) -> list[str]:
@@ -513,8 +531,6 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         n_ids += n_born
         if n_ids > len(slot_of):
             slot_of = np.zeros(2 * n_ids, dtype=np.int64)
-        # a slot that stays carries this frame's masses
-        logp_b[:], logp_nb[:] = keep_b, keep_nb
         floats = _grown(floats, stay, n_born, (NEG_INF, ext.ravel()[born], born_lm, np.nan))
         ints = _grown(ints, stay, n_born, (
             words[born_parent] + closes, born_node, parent_node, born_symbol, born_state, -1,
@@ -539,7 +555,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
     # fused_score, element by element in the same order of operations
     scores = totals + alpha * lm_logp + beta * words
     # best first; a tie goes to the smaller key, which is the smaller prefix
-    order = [i for _, _, i in sorted(zip((-scores).tolist(), keys, range(len(keys))))]
+    order = [i for _, _, i in sorted(zip((-scores).tolist(), keys, range(len(keys))))][:n_best]
     keys = [keys[i] for i in order]
     delim_key = symbol_keys[delim]
     text_of = dict(enumerate(symbols))  # str.translate table: key -> text
@@ -553,7 +569,9 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
 def beam_search_decode(post: PosteriorMatrix, vocab: Vocabulary,
                        lm: NGramModel | None, cfg: DecoderConfig) -> Transcript:
     """Highest-scoring sentence under the fused acoustic + LM score."""
-    beams = decode_beams(post, vocab, lm, cfg)
+    # the posterior goes first and the module global is looked up per call,
+    # so a wrapper of decode_beams sees every search
+    beams = decode_beams(post, vocab, lm, cfg, 1)
     if not beams:
         raise EmptyBeamError(f"{post.utterance_id}: the beam search kept no hypothesis")
     return Transcript.from_raw(" ".join(beams[0].words))

@@ -9,6 +9,7 @@ from asr_inconsistency import (
     NGramModel,
     PosteriorMatrix,
     RawPath,
+    Transcript,
     Vocabulary,
     beam_search_decode,
     collapse,
@@ -645,3 +646,96 @@ class TestLexiconCache:
         lexicon = decoder.build_lexicon(frozenset({"abcdefgh"}), vocab)
         assert len(lexicon.is_word) == 10
         assert len(lexicon.edge_keys) == len(lexicon.edge_nodes) == 8 + 10 + 1
+
+
+class TestNBest:
+    """`n_best` builds the first hypotheses of the full list and no more."""
+
+    def test_first_beam_equals_the_head_of_the_full_list(self, abc_vocab, bigram_model):
+        # the settings and random inputs of TestLazySearchMatchesReference
+        rng = np.random.default_rng(1408)
+        settings = itertools.product(
+            (1, 2, 3, 5, 8, 100), (-1.0, -3.0, -20.0, float("-inf")),
+            (0.0, 0.3, 1.0), (0.0, 0.5, 1.0), (None, bigram_model))
+        cases = errors = ties = 0
+        for width, floor, alpha, beta, lm in settings:
+            cfg = DecoderConfig(alpha=alpha, beta=beta, beam_width=width,
+                                prune_logp_floor=floor)
+            for kind in ("dirichlet", "uniform", "quantised", "peaked", "tiny", "holes"):
+                v = int(rng.integers(3, 6))
+                vocab = Vocabulary(abc_vocab.symbols[:v], 0, 1)
+                logs = _random_rows(rng, kind, int(rng.integers(1, 7)), v)
+                post = (PosteriorMatrix("u", logs) if kind == "holes"
+                        else PosteriorMatrix.from_array("u", logs))
+                full = _decode_or_error(decode_beams, post, vocab, lm, cfg)
+                first = _decode_or_error(
+                    lambda *args: decode_beams(*args, 1), post, vocab, lm, cfg)
+                if isinstance(full, tuple):
+                    assert first == full, (kind, cfg, lm is not None, logs)
+                    errors += 1
+                    continue
+                assert first == full[:1], (kind, cfg, lm is not None, logs)
+                cases += 1
+                # a tie for the best score is broken by the prefix
+                ties += len(full) > 1 and full[0].score == full[1].score
+        assert cases + errors == 2592
+        assert errors > 0
+        assert ties > 0
+
+    @pytest.mark.parametrize("n_best", [1, 2, 7, 100, 1000])
+    def test_n_best_slices_the_list(self, synthetic_corpus, n_best):
+        post, vocab = _padded_corpus_utterance(synthetic_corpus, 1.0)
+        lm = parse_arpa(_lexicon_bigram_arpa())
+        full = decode_beams(post, vocab, lm, DecoderConfig())
+        assert decode_beams(post, vocab, lm, DecoderConfig(), n_best) == full[:n_best]
+
+    @pytest.mark.parametrize("n_best", [0, -1])
+    def test_rejects_n_best_below_one(self, abc_vocab, n_best):
+        post = matrix_from_probs("u", peaked_rows([2], 5))
+        with pytest.raises(ValueError, match="n_best"):
+            decode_beams(post, abc_vocab, None, DecoderConfig(), n_best)
+
+    def test_beam_search_decode_reads_the_best_of_the_full_list(self, synthetic_corpus):
+        vocab = load_vocabulary(synthetic_corpus.vocab_path)
+        lm = parse_arpa(synthetic_corpus.lm_path.read_text(encoding="utf-8"))
+        cfg = DecoderConfig()
+        records = load_manifest(synthetic_corpus.manifest_path)
+        assert len(records) == 72
+        for rec in records:
+            post = load_posteriors(synthetic_corpus.root / rec.posterior_path, vocab)
+            best = decode_beams(post, vocab, lm, cfg)[0]
+            assert beam_search_decode(post, vocab, lm, cfg) == \
+                Transcript.from_raw(" ".join(best.words)), rec.utterance_id
+
+
+class TestNoBirthFrames:
+    def test_frames_without_a_child_skip_the_cut_and_stay_exact(
+            self, synthetic_corpus, monkeypatch):
+        # at temperature 2, the longform benchmark's flattening, the full
+        # beam's worst score beats every child on most blank frames (the
+        # cut runs on 36 of the 115 frames)
+        post, vocab = _padded_corpus_utterance(synthetic_corpus, 2.0)
+        lm = parse_arpa(_lexicon_bigram_arpa())
+        cfg = DecoderConfig()
+        calls = []
+        top = decoder._top
+        monkeypatch.setattr(decoder, "_top", lambda *args: calls.append(1) or top(*args))
+        beams = decode_beams(post, vocab, lm, cfg)
+        assert len(calls) < post.frame_count
+        assert beams == oracles.reference_decode_beams(post, vocab, lm, cfg)
+
+    def test_a_slot_below_the_floor_leaves_on_a_frame_without_a_child(
+            self, abc_vocab, monkeypatch):
+        # "a" or blank, then "a": on the second frame the empty prefix falls
+        # more than 3 nats below "a" (its "a" merges into "a"), and every
+        # child is below the floor
+        post = matrix_from_probs("u", [[0.1, 1e-4, 0.8997, 1e-4, 1e-4],
+                                       peaked_rows([2], 5)[0]])
+        cfg = DecoderConfig(prune_logp_floor=-3.0)
+        calls = []
+        top = decoder._top
+        monkeypatch.setattr(decoder, "_top", lambda *args: calls.append(1) or top(*args))
+        beams = decode_beams(post, abc_vocab, None, cfg)
+        assert len(calls) == 1
+        assert [b.prefix for b in beams] == [(2,)]
+        assert beams == oracles.reference_decode_beams(post, abc_vocab, None, cfg)
