@@ -22,6 +22,15 @@ computed from
 Output file: one "gain snr_db" pair per line, -20 dB to +100 dB. Residual
 flat spots at the saturated ends are nudged onto a strictly increasing
 sequence, which the interpolating inverse lookup requires.
+
+Requires scipy, which the package itself does not depend on. The standard
+library could stand in for `special.erf`, `gammaln` and `digamma`
+(`math.erf`, `math.lgamma`, and a recurrence plus asymptotic series for
+digamma), but not bit for bit: `math.lgamma` differs from `gammaln` by up
+to 1.5e-11 near the Poisson series' largest j (about 6,000), and with those
+replacements 38 to 39 of the 241 rows change in the 12th decimal, so the
+committed table would no longer regenerate byte-identically. With scipy
+(1.17.1 checked) it does.
 """
 
 from __future__ import annotations

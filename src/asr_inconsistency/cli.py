@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
-from .errors import ToolkitError
+from .errors import AuthError, ToolkitError
 from .harness import (
     KNOWN_METHODS,
     EvalConfig,
@@ -31,7 +31,7 @@ from .harness import (
 from .manifest import load_manifest
 from .ngram import load_arpa
 from .posteriors import load_posteriors
-from .refgen import ENV_API_KEY, ENV_ENDPOINT, ENV_MODEL, HttpChatClient, MockCorrector
+from .refgen import ENV_MODEL, HttpChatClient, MockCorrector
 from .vocab import load_vocabulary
 
 EXIT_OK = 0
@@ -157,16 +157,15 @@ def _build_llm_specs(args) -> list[LlmSpec]:
         tables = args.mock_replies or []
         return [LlmSpec(name, MockCorrector.from_json(tables[i]) if i < len(tables)
                         else MockCorrector()) for i, name in enumerate(models)]
-    missing = [v for v in (ENV_ENDPOINT, ENV_API_KEY) if not os.environ.get(v)]
-    if missing:
-        raise UsageError(
-            f"llm method needs --mock or environment {' and '.join(missing)}")
+    try:
+        client = HttpChatClient.from_env()
+    except (AuthError, ValueError) as exc:
+        raise UsageError(f"llm method needs --mock or a live endpoint: {exc}") from None
     if not models:
         env_model = os.environ.get(ENV_MODEL, "")
         if not env_model:
             raise UsageError(f"no --model given and {ENV_MODEL} is not set")
         models = [env_model]
-    client = HttpChatClient.from_env()
     return [LlmSpec(name, client) for name in models]
 
 

@@ -163,3 +163,8 @@ class RatingMismatchError(ToolkitError):
 
 class PipelineError(ToolkitError):
     """The evaluation run produced no usable utterance at all."""
+
+
+class RunDirectoryError(ToolkitError):
+    """A run directory's per-utterance table is damaged; the message names
+    the file and line."""

@@ -28,6 +28,7 @@ from .errors import (
     MissingDurationError,
     PipelineError,
     RatingMismatchError,
+    RunDirectoryError,
     ToolkitError,
 )
 from .manifest import UtteranceRecord
@@ -601,27 +602,37 @@ def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
 
 def _load_utterance_scores(run_dir: Path) -> tuple[list[ScoreRecord],
                                                    list[UtteranceRecord]]:
+    path = run_dir / "utterance_scores.csv"
     scores: list[ScoreRecord] = []
     pseudo: dict[str, UtteranceRecord] = {}
-    with open(run_dir / "utterance_scores.csv", encoding="utf-8") as fin:
-        for row in csv.DictReader(fin):
-            scores.append(ScoreRecord(
-                utterance_id=row["utterance_id"],
-                method=row["method"],
-                value=float(row["value"]),
-                model_name=row["model"] or None,
-                run_index=int(row["run_index"]) if row["run_index"] else None,
-                n_edits=int(row["n_edits"]) if row["n_edits"] else None,
-                ref_len=int(row["ref_len"]) if row["ref_len"] else None,
-            ))
-            if row["utterance_id"] not in pseudo:
-                pseudo[row["utterance_id"]] = UtteranceRecord(
+    with open(path, encoding="utf-8") as fin:
+        # a short row's missing cells read "", like empty ones, not None
+        reader = csv.DictReader(fin, restval="")
+        try:
+            for row in reader:
+                scores.append(ScoreRecord(
                     utterance_id=row["utterance_id"],
-                    speaker_id=row["speaker_id"],
-                    posterior_path="unused",
-                    timepoint_id=row["timepoint_id"] or None,
-                    rating=float(row["rating"]) if row["rating"] else None,
-                )
+                    method=row["method"],
+                    value=float(row["value"]),
+                    model_name=row["model"] or None,
+                    run_index=int(row["run_index"]) if row["run_index"] else None,
+                    n_edits=int(row["n_edits"]) if row["n_edits"] else None,
+                    ref_len=int(row["ref_len"]) if row["ref_len"] else None,
+                ))
+                if row["utterance_id"] not in pseudo:
+                    pseudo[row["utterance_id"]] = UtteranceRecord(
+                        utterance_id=row["utterance_id"],
+                        speaker_id=row["speaker_id"],
+                        posterior_path="unused",
+                        timepoint_id=row["timepoint_id"] or None,
+                        rating=float(row["rating"]) if row["rating"] else None,
+                    )
+        except UnicodeDecodeError as exc:
+            raise RunDirectoryError(f"{path}: not UTF-8 text") from exc
+        except KeyError as exc:
+            raise RunDirectoryError(f"{path}:{reader.line_num}: no {exc} column") from exc
+        except (csv.Error, ValueError) as exc:
+            raise RunDirectoryError(f"{path}:{reader.line_num}: {exc}") from exc
     return scores, list(pseudo.values())
 
 

@@ -14,6 +14,7 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Protocol
+from urllib.parse import urlsplit
 
 from .errors import AuthError, EmptyReplyError, RateLimitedError, TransportError
 from .transcript import Transcript
@@ -24,6 +25,12 @@ FALLBACK_WHOLE_REPLY = "fallback_whole_reply"
 ENV_ENDPOINT = "LLM_ENDPOINT_URL"
 ENV_API_KEY = "LLM_API_KEY"
 ENV_MODEL = "LLM_MODEL_NAME"
+
+# the live client's retry policy: attempts after the first, the per-attempt
+# socket timeout, and the first backoff delay, doubled on each retry
+MAX_RETRIES = 3
+TIMEOUT_S = 60.0
+BACKOFF_BASE_S = 1.0
 
 PROMPT_TEMPLATE = (
     "The following is the output of an automatic speech recognition system "
@@ -115,67 +122,81 @@ class MockCorrector:
 class HttpChatClient:
     """Chat-completion style HTTP client with bounded retries.
 
-    Transport failures and rate limiting are retried with exponential
-    backoff; authentication failures surface immediately.
+    A connection error, a timeout, 429 and 5xx are retried MAX_RETRIES times
+    with exponential backoff (BACKOFF_BASE_S, doubling); 401 and 403 raise
+    AuthError at once; any other status but 200, a redirect included, and a
+    malformed body raise TransportError without a retry.
     """
 
-    def __init__(self, endpoint_url: str, api_key: str,
-                 *, max_retries: int = 3, timeout_s: float = 60.0,
-                 backoff_base_s: float = 1.0) -> None:
+    def __init__(self, endpoint_url: str, api_key: str) -> None:
+        if urlsplit(endpoint_url).scheme not in ("http", "https"):
+            raise ValueError(f"endpoint URL {endpoint_url!r} is not http or https")
         self.endpoint_url = endpoint_url
         self.api_key = api_key
-        self.max_retries = max_retries
-        self.timeout_s = timeout_s
-        self.backoff_base_s = backoff_base_s
 
     @classmethod
     def from_env(cls) -> "HttpChatClient":
-        endpoint = os.environ.get(ENV_ENDPOINT, "")
-        key = os.environ.get(ENV_API_KEY, "")
-        if not endpoint or not key:
-            raise AuthError(f"{ENV_ENDPOINT} and {ENV_API_KEY} must be set")
-        return cls(endpoint, key)
+        missing = [name for name in (ENV_ENDPOINT, ENV_API_KEY) if not os.environ.get(name)]
+        if missing:
+            raise AuthError(f"{' and '.join(missing)} must be set")
+        return cls(os.environ[ENV_ENDPOINT], os.environ[ENV_API_KEY])
 
     def complete(self, request: CorrectionRequest) -> tuple[str, int]:
-        # imported here so that loading the toolkit does not pay for it
-        import requests
+        # imported here so that loading the toolkit does not pay for them
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        body = {
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            # following one would send the bearer key wherever it points
+            def redirect_request(self, *args):
+                return None
+
+        opener = urllib.request.build_opener(RefuseRedirects)
+        body = json.dumps({
             "model": request.model_name,
             "temperature": request.temperature,
             "messages": [
                 {"role": "user",
                  "content": build_prompt(request.language, request.sentence)},
             ],
-        }
-        headers = {"Authorization": f"Bearer {self.api_key}",
-                   "Content-Type": "application/json"}
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        }).encode("utf-8")
+        http_request = urllib.request.Request(
+            self.endpoint_url, data=body, method="POST",
+            headers={"Authorization": f"Bearer {self.api_key}",
+                     "Content-Type": "application/json"})
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base_s * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
-                resp = requests.post(self.endpoint_url, json=body,
-                                     headers=headers, timeout=self.timeout_s)
-            except requests.RequestException as exc:
-                last_error = TransportError(str(exc))
+                with opener.open(http_request, timeout=TIMEOUT_S) as resp:
+                    status, payload = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                # an OSError too, so it is caught first
+                status = exc.code
+                exc.close()
+            except (OSError, http.client.HTTPException) as exc:
+                error = TransportError(str(exc))
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint returned {resp.status_code}")
-            if resp.status_code == 429:
-                last_error = RateLimitedError("rate limited by endpoint")
+            if status in (401, 403):
+                raise AuthError(f"endpoint returned {status}")
+            if status == 429:
+                error = RateLimitedError("rate limited by endpoint")
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"server error {resp.status_code}")
+            if status >= 500:
+                error = TransportError(f"server error {status}")
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"unexpected status {resp.status_code}")
+            if status != 200:
+                raise TransportError(f"unexpected status {status}")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as exc:
+                content = json.loads(payload)["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed response body: {exc}") from exc
+            if not isinstance(content, str):
+                raise TransportError(
+                    f"malformed response body: content is {type(content).__name__}")
             return content, attempt
-        raise last_error if last_error is not None else TransportError("no attempt made")
+        raise error
 
 
 def correct_with_llm(client: CorrectionClient, w_greedy: Transcript,

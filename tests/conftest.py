@@ -1,7 +1,13 @@
+import http.server
+import json
+import re
+import threading
+
 import numpy as np
 import pytest
 
 from asr_inconsistency import Vocabulary, PosteriorMatrix, parse_arpa
+from asr_inconsistency.refgen import PROMPT_TEMPLATE
 
 
 def pytest_runtest_logreport(report):
@@ -162,3 +168,80 @@ def synthetic_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     return generate_corpus(root, n_speakers=12, utterances_per_speaker=6,
                            words_per_utterance=5, seed=20240, write_audio=True)
+
+
+_HEAD, _, _TAIL = PROMPT_TEMPLATE.partition("{sentence}")
+_PROMPT = re.compile(
+    re.escape(_HEAD).replace(re.escape("{language}"), ".*?") + "(.*)" + re.escape(_TAIL),
+    re.DOTALL)
+
+
+def echo_reply(prompt: str) -> str:
+    """The prompt's sentence in brackets, as MockCorrector answers it."""
+    return f"[{_PROMPT.fullmatch(prompt).group(1)}]"
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.requests.append((self.path, dict(self.headers), body))
+            step = server.script.pop(0) if server.script else None
+        if step == "drop":
+            return  # the connection closes without a status line
+        if step == "hang":
+            server.release.wait(30)
+            return
+        if step is None:
+            content = echo_reply(body["messages"][0]["content"])
+            step = (200, json.dumps({"choices": [{"message": {"content": content}}]}))
+        elif isinstance(step, int):
+            step = (step, "")
+        status, payload, *headers = step
+        payload = payload.encode("utf-8")
+        self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class ChatServer(http.server.ThreadingHTTPServer):
+    """A loopback chat-completion endpoint.
+
+    Each request takes the next step of `script`: a status with an empty
+    body, a (status, body[, headers]) tuple, "drop" (close without an
+    answer) or "hang" (answer nothing until teardown). Past the script it
+    answers 200 with echo_reply's content. `requests` records each request
+    as (path, headers, JSON body).
+    """
+
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+        self.script = []
+        self.requests = []
+        self.lock = threading.Lock()
+        self.release = threading.Event()
+
+
+@pytest.fixture
+def chat_server():
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()

@@ -77,11 +77,13 @@ def child_env():
 
 
 def test_cli_import_loads_no_scipy_or_requests():
-    # a fresh interpreter, so modules other tests imported do not count
+    # a fresh interpreter, so modules other tests imported do not count; the
+    # live client imports the HTTP stack only when it sends a request
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, asr_inconsistency.cli; "
-         "print(sorted({'scipy', 'requests'} & set(sys.modules)))"],
+         "print(sorted({'scipy', 'requests', 'urllib.request', 'http.client', 'ssl'}"
+         " & set(sys.modules)))"],
         env=child_env(), check=True, capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
 
@@ -248,6 +250,42 @@ class TestScore:
                                "--methods", "llm")
         assert code == 2
         assert "mock" in err.lower()
+
+    @pytest.mark.parametrize("env,message", [
+        # the endpoint is checked before --model is resolved
+        ({"LLM_API_KEY": "k"}, "LLM_ENDPOINT_URL must be set"),
+        ({"LLM_ENDPOINT_URL": "ftp://host/chat", "LLM_API_KEY": "k"},
+         "endpoint URL 'ftp://host/chat' is not http or https"),
+    ])
+    def test_live_endpoint_environment_is_checked_once(self, synthetic_corpus, tmp_path,
+                                                       capsys, monkeypatch, env, message):
+        for name in ("LLM_ENDPOINT_URL", "LLM_API_KEY", "LLM_MODEL_NAME"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, "score",
+                                 "--manifest", str(synthetic_corpus.manifest_path),
+                                 "--vocab", str(synthetic_corpus.vocab_path),
+                                 "--methods", "llm", "--out", str(tmp_path / "s.csv"))
+        assert code == 2 and out == ""
+        assert err == f"error: llm method needs --mock or a live endpoint: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_live_llm_scores_like_the_mock_echo(self, synthetic_corpus, chat_server,
+                                               tmp_path, capsys, monkeypatch):
+        # the loopback endpoint answers each prompt with its sentence in
+        # brackets, as MockCorrector does
+        monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv("LLM_ENDPOINT_URL", chat_server.url)
+        monkeypatch.setenv("LLM_API_KEY", "key")
+        args = ["score", "--manifest", str(synthetic_corpus.manifest_path),
+                "--vocab", str(synthetic_corpus.vocab_path),
+                "--methods", "llm", "--model", "m"]
+        live, mock = tmp_path / "live.csv", tmp_path / "mock.csv"
+        assert run_cli(capsys, *args, "--out", str(live)) == (0, "", "")
+        assert run_cli(capsys, *args, "--mock", "--out", str(mock)) == (0, "", "")
+        assert live.read_bytes() == mock.read_bytes()
+        assert len(chat_server.requests) == 72 * 3
 
     def test_unknown_method_is_usage_error(self, synthetic_corpus, capsys):
         code, _, _ = run_cli(capsys, "score",
@@ -591,6 +629,31 @@ class TestBaselinesAndReport:
               if not line.startswith("reference_wer:")),
             "note: reference_wer: correlation unavailable "
             "(an input holds a NaN or infinite value)"]
+
+    @pytest.mark.parametrize("damage,message", [
+        ("number", ":2: could not convert string to float: 'abc'"),
+        ("column", ":2: no 'rating' column"),
+        ("bytes", ": not UTF-8 text"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--llm-accuracy"]])
+    def test_damaged_scores_table_is_a_runtime_error(self, quickstart_run, tmp_path,
+                                                     capsys, damage, message, flags):
+        run_dir = tmp_path / "run"
+        shutil.copytree(quickstart_run, run_dir)
+        path = run_dir / "utterance_scores.csv"
+        header, first, rest = path.read_bytes().split(b"\n", 2)
+        if damage == "number":
+            cells = first.split(b",")
+            cells[header.split(b",").index(b"value")] = b"abc"
+            first = b",".join(cells)
+        elif damage == "column":
+            header = header.replace(b",rating,", b",score,")
+        else:
+            rest = b"\xff" + rest
+        path.write_bytes(b"\n".join([header, first, rest]))
+        code, out, err = run_cli(capsys, "report", str(run_dir), *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: {path}{message}\n"
 
     def test_report_on_non_run_dir_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path))

@@ -1,14 +1,25 @@
+import socket
+import sys
+import time
+
 import pytest
 
 from asr_inconsistency import (
     CorrectionRequest,
+    HttpChatClient,
     MockCorrector,
     Transcript,
     build_prompt,
     correct_with_llm,
     extract_bracketed,
 )
-from asr_inconsistency.errors import EmptyReplyError, TransportError
+from asr_inconsistency import refgen
+from asr_inconsistency.errors import (
+    AuthError,
+    EmptyReplyError,
+    RateLimitedError,
+    TransportError,
+)
 from asr_inconsistency.refgen import BRACKETED, FALLBACK_WHOLE_REPLY, PROMPT_TEMPLATE
 
 
@@ -120,97 +131,120 @@ class TestCorrectWithLlm:
 
 
 class TestHttpClientRetries:
-    def test_transport_error_after_bounded_retries(self, monkeypatch):
-        from asr_inconsistency import HttpChatClient
-        import requests as requests_lib
+    """The live client against a loopback endpoint, with `requests`
+    unimportable and the backoff delays recorded instead of slept."""
 
-        calls = {"n": 0}
+    @pytest.fixture
+    def live(self, chat_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        client = HttpChatClient(chat_server.url, "secret")
+        return client, chat_server, delays
 
-        def failing_post(*args, **kwargs):
-            calls["n"] += 1
-            raise requests_lib.ConnectionError("boom")
+    def correct(self, client):
+        return correct_with_llm(client, greedy("de kat"), "Dutch", "m", runs=1)[0]
 
-        monkeypatch.setattr(requests_lib, "post", failing_post)
-        client = HttpChatClient("http://localhost:1/v1/chat", "key",
-                                max_retries=2, backoff_base_s=0.0)
-        request = CorrectionRequest(language="Dutch", sentence="x", model_name="m")
-        with pytest.raises(TransportError):
-            client.complete(request)
-        assert calls["n"] == 3  # initial attempt + 2 retries
-
-    def test_recovers_after_two_failures(self, monkeypatch):
-        from asr_inconsistency import HttpChatClient
-        import requests as requests_lib
-
-        calls = {"n": 0}
-
-        class FakeResponse:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return {"choices": [{"message": {"content": "[ok]"}}]}
-
-        def flaky_post(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise requests_lib.ConnectionError("boom")
-            return FakeResponse()
-
-        monkeypatch.setattr(requests_lib, "post", flaky_post)
-        client = HttpChatClient("http://localhost:1/v1/chat", "key",
-                                max_retries=3, backoff_base_s=0.0)
-        request = CorrectionRequest(language="Dutch", sentence="x", model_name="m")
-        reply, retries = client.complete(request)
-        assert reply == "[ok]"
-        assert retries == 2
-
-    def test_auth_error_not_retried(self, monkeypatch):
-        from asr_inconsistency import HttpChatClient
-        from asr_inconsistency.errors import AuthError
-        import requests as requests_lib
-
-        calls = {"n": 0}
-
-        class Denied:
-            status_code = 401
-
-        def denied_post(*args, **kwargs):
-            calls["n"] += 1
-            return Denied()
-
-        monkeypatch.setattr(requests_lib, "post", denied_post)
-        client = HttpChatClient("http://localhost:1/v1/chat", "bad-key",
-                                backoff_base_s=0.0)
-        request = CorrectionRequest(language="Dutch", sentence="x", model_name="m")
-        with pytest.raises(AuthError):
-            client.complete(request)
-        assert calls["n"] == 1
-
-    def test_request_body_follows_chat_convention(self, monkeypatch):
-        from asr_inconsistency import HttpChatClient
-        import requests as requests_lib
-
-        seen = {}
-
-        class FakeResponse:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return {"choices": [{"message": {"content": "[ok]"}}]}
-
-        def capture_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, body=json, headers=headers)
-            return FakeResponse()
-
-        monkeypatch.setattr(requests_lib, "post", capture_post)
-        client = HttpChatClient("http://example.test/v1/chat", "secret")
+    def test_request_body_follows_chat_convention(self, live):
+        client, server, delays = live
         request = CorrectionRequest(language="Dutch", sentence="de kat",
                                     model_name="gpt-test", temperature=0.0)
-        client.complete(request)
-        assert seen["body"]["model"] == "gpt-test"
-        assert seen["body"]["temperature"] == 0.0
-        assert seen["body"]["messages"][0]["role"] == "user"
-        assert "de kat" in seen["body"]["messages"][0]["content"]
-        assert seen["headers"]["Authorization"] == "Bearer secret"
+        assert client.complete(request) == ("[de kat]", 0)
+        [(path, headers, body)] = server.requests
+        assert path == "/v1/chat"
+        assert body == {"model": "gpt-test", "temperature": 0.0,
+                        "messages": [{"role": "user",
+                                      "content": build_prompt("Dutch", "de kat")}]}
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        assert delays == []
+
+    def test_recovers_after_two_failures(self, live):
+        client, server, delays = live
+        server.script = ["drop", "drop"]
+        result = self.correct(client)
+        assert (result.raw_reply, result.retries) == ("[de kat]", 2)
+        assert len(server.requests) == 3
+        assert delays == [1.0, 2.0]
+
+    @pytest.mark.parametrize("failure", [429, 500, 503, "hang"])
+    def test_each_retried_failure_recovers(self, live, monkeypatch, failure):
+        client, server, delays = live
+        monkeypatch.setattr(refgen, "TIMEOUT_S", 0.25)  # "hang" is a read timeout
+        server.script = [failure]
+        result = self.correct(client)
+        assert (result.raw_reply, result.retries) == ("[de kat]", 1)
+        assert len(server.requests) == 2
+        assert delays == [1.0]
+
+    def test_transport_error_after_bounded_retries(self, live):
+        _, _, delays = live
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # nothing listens on the port, so every connection is refused
+        client = HttpChatClient(f"http://127.0.0.1:{port}/v1/chat", "secret")
+        with pytest.raises(TransportError):
+            self.correct(client)
+        assert delays == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("failure,error", [
+        (500, TransportError), (502, TransportError), (429, RateLimitedError)])
+    def test_gives_up_after_max_retries(self, live, failure, error):
+        client, server, delays = live
+        server.script = [failure] * (refgen.MAX_RETRIES + 1)
+        with pytest.raises(error):
+            self.correct(client)
+        assert len(server.requests) == 4
+        assert delays == [1.0, 2.0, 4.0]
+
+    def test_auth_error_not_retried(self, live):
+        client, server, delays = live
+        server.script = [401]
+        with pytest.raises(AuthError):
+            self.correct(client)
+        assert len(server.requests) == 1
+        assert delays == []
+
+    @pytest.mark.parametrize("step,error", [
+        (403, AuthError), (404, TransportError), (400, TransportError),
+        ((302, "", {"Location": "/elsewhere"}), TransportError)])
+    def test_not_retried(self, live, step, error):
+        client, server, delays = live
+        server.script = [step]
+        with pytest.raises(error):
+            self.correct(client)
+        # a redirect is not followed, so the bearer key goes nowhere else
+        assert [path for path, _, _ in server.requests] == ["/v1/chat"]
+        assert delays == []
+
+    @pytest.mark.parametrize("body", [
+        "not json", "[]", "{}", '{"choices": null}', '{"choices": []}',
+        '{"choices": [{"message": {}}]}',
+        '{"choices": [{"message": {"content": null}}]}',
+        '{"choices": [{"message": {"content": 7}}]}'])
+    def test_malformed_body_is_a_transport_error(self, live, body):
+        client, server, delays = live
+        server.script = [(200, body)]
+        with pytest.raises(TransportError, match="malformed response body"):
+            self.correct(client)
+        assert len(server.requests) == 1
+        assert delays == []
+
+    @pytest.mark.parametrize("url", ["file:///etc/hosts", "localhost:8000/v1", "example.com"])
+    def test_endpoint_must_be_http(self, url):
+        with pytest.raises(ValueError, match="not http or https"):
+            HttpChatClient(url, "secret")
+
+    @pytest.mark.parametrize("env,message", [
+        ({}, "LLM_ENDPOINT_URL and LLM_API_KEY must be set"),
+        ({"LLM_API_KEY": "k"}, "LLM_ENDPOINT_URL must be set"),
+        ({"LLM_ENDPOINT_URL": "http://127.0.0.1:1/"}, "LLM_API_KEY must be set")])
+    def test_from_env_names_the_missing_variables(self, monkeypatch, env, message):
+        for name in ("LLM_ENDPOINT_URL", "LLM_API_KEY"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(AuthError) as info:
+            HttpChatClient.from_env()
+        assert str(info.value) == message
