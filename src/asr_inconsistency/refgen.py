@@ -161,13 +161,16 @@ class HttpChatClient:
                  "content": build_prompt(request.language, request.sentence)},
             ],
         }).encode("utf-8")
-        http_request = urllib.request.Request(
-            self.endpoint_url, data=body, method="POST",
-            headers={"Authorization": f"Bearer {self.api_key}",
-                     "Content-Type": "application/json"})
+        headers = {"Authorization": f"Bearer {self.api_key}",
+                   "Content-Type": "application/json"}
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            # a new Request each time: a proxy handler rewrites the one it
+            # is given, and a rewritten https Request sent again would go
+            # through the proxy's tunnel as plain http, key and all
+            http_request = urllib.request.Request(
+                self.endpoint_url, data=body, method="POST", headers=headers)
             try:
                 with opener.open(http_request, timeout=TIMEOUT_S) as resp:
                     status, payload = resp.status, resp.read()

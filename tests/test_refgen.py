@@ -1,5 +1,7 @@
 import socket
+import socketserver
 import sys
+import threading
 import time
 
 import pytest
@@ -170,7 +172,18 @@ class TestHttpClientRetries:
     @pytest.mark.parametrize("failure", [429, 500, 503, "hang"])
     def test_each_retried_failure_recovers(self, live, monkeypatch, failure):
         client, server, delays = live
-        monkeypatch.setattr(refgen, "TIMEOUT_S", 0.25)  # "hang" is a read timeout
+        if failure == "hang":
+            # a read timeout on the first attempt only: the retry, which the
+            # server answers while the first handler still waits, keeps the
+            # full limit
+            full = refgen.TIMEOUT_S
+            monkeypatch.setattr(refgen, "TIMEOUT_S", 0.25)
+
+            def sleep(delay):
+                delays.append(delay)
+                monkeypatch.setattr(refgen, "TIMEOUT_S", full)
+
+            monkeypatch.setattr(time, "sleep", sleep)
         server.script = [failure]
         result = self.correct(client)
         assert (result.raw_reply, result.retries) == ("[de kat]", 1)
@@ -248,3 +261,81 @@ class TestHttpClientRetries:
         with pytest.raises(AuthError) as info:
             HttpChatClient.from_env()
         assert str(info.value) == message
+
+
+class _TunnelHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        # answer CONNECT, then record the first thing sent into the tunnel
+        # and close it, so every attempt fails and is retried
+        self.request.settimeout(5)
+        received = b""
+        try:
+            while b"\r\n\r\n" not in received:
+                chunk = self.request.recv(4096)
+                if not chunk:
+                    break
+                received += chunk
+            head, _, tunnelled = received.partition(b"\r\n\r\n")
+            if head.startswith(b"CONNECT "):
+                self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                tunnelled += self.request.recv(4096)
+                if tunnelled.startswith(b"POST"):
+                    while b"\r\n\r\n" not in tunnelled:
+                        chunk = self.request.recv(4096)
+                        if not chunk:
+                            break
+                        tunnelled += chunk
+        except OSError:
+            head, tunnelled = received, b""
+        with self.server.lock:
+            self.server.connections.append((head, tunnelled))
+
+
+class TunnelProxy(socketserver.ThreadingTCPServer):
+    """A loopback HTTPS proxy that records each connection as (the request
+    head it was sent, the first bytes sent through the tunnel)."""
+
+    daemon_threads = False
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _TunnelHandler)
+        self.connections = []
+        self.lock = threading.Lock()
+
+
+@pytest.fixture
+def tunnel_proxy():
+    proxy = TunnelProxy()
+    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield proxy
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+def test_retries_through_an_https_proxy_keep_the_key_encrypted(tunnel_proxy, monkeypatch):
+    # urllib's ProxyHandler rewrites the Request it is given, so a Request
+    # sent again after a failure would go to the proxy as plain http and
+    # carry the bearer key through the tunnel unencrypted
+    monkeypatch.setitem(sys.modules, "requests", None)
+    monkeypatch.setattr(time, "sleep", lambda delay: None)
+    for name in ("no_proxy", "NO_PROXY", "https_proxy", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{tunnel_proxy.server_address[1]}")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    client = HttpChatClient(f"https://127.0.0.1:{port}/v1/chat", "secret")
+    with pytest.raises(TransportError):
+        client.complete(CorrectionRequest(language="Dutch", sentence="de kat",
+                                          model_name="m"))
+    heads = [head for head, _ in tunnel_proxy.connections]
+    assert len(heads) == refgen.MAX_RETRIES + 1
+    assert all(head.startswith(f"CONNECT 127.0.0.1:{port} ".encode()) for head in heads)
+    for head, tunnelled in tunnel_proxy.connections:
+        assert b"secret" not in head + tunnelled
+        assert tunnelled[:1] == b"\x16"  # a TLS handshake record
