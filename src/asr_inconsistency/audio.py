@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonMonoAudioError, TruncatedAudioError, UnsupportedEncodingError
+from .errors import AudioError
 
 _INT16_FULL_SCALE = 32768.0
 
@@ -28,21 +28,20 @@ def read_wav(path: str | Path) -> AudioBuffer:
     try:
         with wave.open(str(path), "rb") as wav:
             if wav.getnchannels() != 1:
-                raise NonMonoAudioError(f"{path}: {wav.getnchannels()} channels")
+                raise AudioError(f"{path}: {wav.getnchannels()} channels")
             if wav.getsampwidth() != 2 or wav.getcomptype() != "NONE":
-                raise UnsupportedEncodingError(
-                    f"{path}: only uncompressed 16-bit PCM is supported")
+                raise AudioError(f"{path}: only uncompressed 16-bit PCM is supported")
             n = wav.getnframes()
             rate = wav.getframerate()
             raw = wav.readframes(n)
     except wave.Error as exc:
-        raise UnsupportedEncodingError(f"{path}: {exc}") from exc
+        raise AudioError(f"{path}: {exc}") from exc
     except EOFError as exc:
-        raise TruncatedAudioError(f"{path}: truncated header") from exc
+        raise AudioError(f"{path}: truncated header") from exc
     if len(raw) != 2 * n:
-        raise TruncatedAudioError(f"{path}: expected {n} frames, got {len(raw) // 2}")
+        raise AudioError(f"{path}: expected {n} frames, got {len(raw) // 2}")
     if n == 0:
-        raise TruncatedAudioError(f"{path}: file contains no samples")
+        raise AudioError(f"{path}: file contains no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _INT16_FULL_SCALE
     samples.setflags(write=False)
     return AudioBuffer(samples=samples, sample_rate_hz=rate)

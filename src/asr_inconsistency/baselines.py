@@ -8,11 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import (
-    MissingGroundTruthError,
-    NonPositiveDurationError,
-    SilentAudioError,
-)
+from .errors import AudioError, MissingInputError
 from .metrics import ScoreRecord
 from .transcript import Transcript
 
@@ -27,9 +23,9 @@ def speech_rate(ground_truth: Transcript | None, duration_s: float,
                 *, unit: str = WORDS_PER_MINUTE) -> ScoreRecord:
     """Ground-truth word count divided by utterance duration."""
     if ground_truth is None:
-        raise MissingGroundTruthError(f"{utterance_id}: no ground-truth text")
+        raise MissingInputError(f"{utterance_id}: no ground-truth text")
     if duration_s <= 0:
-        raise NonPositiveDurationError(f"{utterance_id}: duration {duration_s}")
+        raise MissingInputError(f"{utterance_id}: duration {duration_s}")
     rate = ground_truth.word_count / duration_s
     if unit == WORDS_PER_MINUTE:
         rate *= 60.0
@@ -68,7 +64,7 @@ def _gain_statistic(samples: np.ndarray) -> float:
     mag = np.abs(samples)
     peak = float(mag.max())
     if peak == 0.0:
-        raise SilentAudioError("all samples are zero")
+        raise AudioError("all samples are zero")
     mag = np.maximum(mag / peak, _MAG_FLOOR)
     return float(np.log(mag.mean()) - np.log(mag).mean())
 
@@ -85,6 +81,6 @@ def wada_snr(audio: AudioBuffer, utterance_id: str = "") -> ScoreRecord:
     """
     samples = np.asarray(audio.samples, dtype=np.float64)
     if samples.size == 0 or not np.any(samples):
-        raise SilentAudioError(f"{utterance_id}: silent or empty audio")
+        raise AudioError(f"{utterance_id}: silent or empty audio")
     value = _statistic_to_db(_gain_statistic(samples))
     return ScoreRecord(utterance_id=utterance_id, method="wada_snr", value=value)

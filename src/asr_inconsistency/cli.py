@@ -22,9 +22,8 @@ from .harness import (
     llm_accuracy_report,
     render_report_text,
     replay_run_results,
-    require_scored,
     run_pipeline,
-    score_utterance,
+    score_manifest,
     variant_label,
     write_utterance_scores_csv,
 )
@@ -188,14 +187,16 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _warn(result) -> None:
+    """score's and eval's one stderr line per quarantined failure."""
+    for stage, message in result.errors:
+        print(f"warning: {result.record.utterance_id}: {stage}: {message}",
+              file=sys.stderr)
+
+
 def cmd_score(args) -> int:
     config = _load_eval_config(args, _parse_methods(args.methods))
-    results = [score_utterance(r, config) for r in load_manifest(args.manifest)]
-    for res in results:
-        for stage, message in res.errors:
-            print(f"warning: {res.record.utterance_id}: {stage}: {message}",
-                  file=sys.stderr)
-    require_scored(results)
+    results = score_manifest(load_manifest(args.manifest), config, _warn)
     write_utterance_scores_csv(results, args.out)
     return EXIT_OK
 
@@ -219,7 +220,7 @@ def cmd_eval(args) -> int:
                   "vocab": args.vocab, "lm": args.lm,
                   "mock": bool(args.mock)},
     )
-    result = run_pipeline(manifest, config, args.out)
+    result = run_pipeline(manifest, config, args.out, _warn)
     print(render_report_text(result.report))
     print(f"run directory: {result.run_dir}")
     return EXIT_OK

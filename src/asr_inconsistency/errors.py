@@ -1,7 +1,11 @@
 """Exception types shared across the toolkit.
 
 Everything raised on purpose derives from ToolkitError so callers (and the
-CLI) can distinguish toolkit failures from programming errors.
+CLI) can distinguish toolkit failures from programming errors. Each kind of
+input a user has to fix has one class, and the message says what is wrong
+with it. AuthError is the one class the harness treats apart: it quarantines
+any other failure in the utterance it occurred in, but a rejected key fails
+every request alike, so an AuthError stops the run.
 """
 
 
@@ -9,160 +13,60 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-# --- vocabulary / posterior / manifest / audio loading ---------------------
-
 class VocabularyError(ToolkitError):
-    pass
-
-
-class EmptyVocabularyError(VocabularyError):
-    pass
-
-
-class DuplicateSymbolError(VocabularyError):
-    pass
-
-
-class MissingBlankError(VocabularyError):
-    pass
-
-
-class MissingDelimiterError(VocabularyError):
-    pass
+    """Empty, duplicate or missing reserved symbols, or an unreadable file."""
 
 
 class PosteriorFormatError(ToolkitError):
-    """Bad magic/version, truncated payload, or unparsable text matrix."""
-
-
-class DimensionMismatchError(ToolkitError):
-    """Posterior column count disagrees with the vocabulary size."""
-
-
-class NonFiniteEntryError(ToolkitError):
-    """A NaN or infinite value where a finite number is required."""
-
-
-class PositiveLogProbError(ToolkitError):
-    pass
-
-
-class RowNotNormalizedError(ToolkitError):
-    """A posterior row does not sum to one in probability space."""
+    """An unreadable posterior file, or a matrix that is not row-normalized
+    finite log-probabilities over the vocabulary."""
 
 
 class ManifestFormatError(ToolkitError):
-    pass
+    """A malformed manifest record, a repeated utterance, or conflicting
+    ratings within one speaker-time."""
 
 
-class DuplicateUtteranceError(ManifestFormatError):
-    pass
-
-
-class NonMonoAudioError(ToolkitError):
-    pass
-
-
-class UnsupportedEncodingError(ToolkitError):
-    pass
-
-
-class TruncatedAudioError(ToolkitError):
-    pass
+class AudioError(ToolkitError):
+    """A WAV file that is not mono 16-bit PCM, is truncated, or is silent."""
 
 
 class TranscriptInvariantError(ToolkitError):
     """A transcript word is empty or contains the word delimiter."""
 
 
-# --- language model ---------------------------------------------------------
-
 class ArpaFormatError(ToolkitError):
-    """Malformed ARPA line; message carries the 1-based line number."""
+    """Malformed ARPA text; the message names the file and line."""
 
-
-class CountMismatchError(ArpaFormatError):
-    pass
-
-
-class TruncatedModelError(ArpaFormatError):
-    pass
-
-
-class EmptySequenceError(ToolkitError):
-    pass
-
-
-# --- decoding ----------------------------------------------------------------
 
 class EmptyBeamError(ToolkitError):
     """Every hypothesis was pruned to zero probability mass."""
 
 
-# --- reference generation ----------------------------------------------------
-
 class EmptyReplyError(ToolkitError):
-    pass
+    """The correction endpoint answered with an empty reply."""
 
 
 class TransportError(ToolkitError):
-    """HTTP request failed after bounded retries."""
+    """HTTP request failed, or was rate limited, after bounded retries."""
 
 
 class AuthError(ToolkitError):
-    pass
+    """The endpoint rejected the key, or the endpoint is not configured."""
 
 
-class RateLimitedError(ToolkitError):
-    pass
+class MissingInputError(ToolkitError):
+    """An utterance lacks the ground truth, duration or audio a method reads."""
 
 
-# --- metrics / baselines -----------------------------------------------------
-
-class MissingGroundTruthError(ToolkitError):
-    pass
-
-
-class MissingDurationError(ToolkitError):
-    pass
-
-
-class NonPositiveDurationError(ToolkitError):
-    pass
-
-
-class SilentAudioError(ToolkitError):
-    pass
-
-
-# --- statistics / harness ----------------------------------------------------
-
-class LengthMismatchError(ToolkitError):
-    pass
-
-
-class TooFewValuesError(ToolkitError):
-    pass
-
-
-class DegenerateVarianceError(ToolkitError):
-    pass
-
-
-class NonConvergenceError(ToolkitError):
-    """An iterative numeric routine hit its iteration limit."""
-
-
-class EmptyGroupError(ToolkitError):
-    """A score names an utterance that no speaker-time group holds."""
-
-
-class RatingMismatchError(ToolkitError):
-    """Utterances of one speaker-time carry conflicting ratings."""
+class StatisticsError(ToolkitError):
+    """Values that cannot be correlated or summarized: too few, unequal in
+    number, non-finite or without variance, or a quantile that did not
+    converge."""
 
 
 class PipelineError(ToolkitError):
-    """The evaluation run produced no usable utterance at all."""
+    """The run cannot be scored or aggregated as a whole."""
 
 
 class RunDirectoryError(ToolkitError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -24,10 +25,10 @@ from .audio import read_wav
 from .baselines import WORDS_PER_MINUTE, WORDS_PER_SECOND, speech_rate, wada_snr
 from .decoder import DecoderConfig, beam_search_decode, collapse, greedy_decode
 from .errors import (
-    EmptyGroupError,
-    MissingDurationError,
+    AuthError,
+    ManifestFormatError,
+    MissingInputError,
     PipelineError,
-    RatingMismatchError,
     RunDirectoryError,
     ToolkitError,
 )
@@ -88,8 +89,8 @@ class EvalConfig:
             raise ValueError("an llm model name must not be empty")
         if self.llm_runs < 1:
             raise ValueError("llm_runs must be >= 1")
-        if not self.llm_temperature >= 0:
-            raise ValueError("llm_temperature must be >= 0")
+        if not (self.llm_temperature >= 0 and math.isfinite(self.llm_temperature)):
+            raise ValueError("llm_temperature must be a finite number >= 0")
         if self.speech_rate_unit not in (WORDS_PER_MINUTE, WORDS_PER_SECOND):
             raise ValueError(f"unknown speech rate unit {self.speech_rate_unit!r}")
 
@@ -166,7 +167,8 @@ def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceRes
     """Score one utterance by the config's methods, reading each input of
     METHOD_INPUTS at most once and only for the methods that read it. A failed
     input excludes only those methods. Failures are recorded, not raised: a
-    failed decode once, as "decode", any other under its method's name."""
+    failed decode once, as "decode", any other under its method's name. An
+    AuthError is raised: a rejected key would fail every request alike."""
     result = UtteranceResult(record=record)
     uid = record.utterance_id
     if record.ground_truth_text is not None:
@@ -182,7 +184,7 @@ def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceRes
                         config.base_dir / record.posterior_path, config.vocab)
                     result.greedy = collapse(greedy_decode(inputs[source]), config.vocab)
                 elif record.audio_path is None:
-                    raise MissingDurationError(f"{uid}: " + (
+                    raise MissingInputError(f"{uid}: " + (
                         "neither duration_s nor audio_path present"
                         if source == "duration" else "no audio_path for wada_snr"))
                 elif source == "duration":
@@ -215,6 +217,8 @@ def score_utterance(record: UtteranceRecord, config: EvalConfig) -> UtteranceRes
             elif method == "reference_wer":
                 result.scores.append(
                     reference_wer(result.greedy, result.ground_truth, uid))
+        except AuthError:
+            raise
         except (ToolkitError, OSError) as exc:
             if exc is not inputs.get("decode"):  # that one is recorded once
                 result.errors.append((method, str(exc)))
@@ -263,7 +267,7 @@ def aggregate_speaker(scores: list[ScoreRecord],
     Utterances without a score for a variant are simply absent from its
     mean; a speaker-time with zero scored utterances for a variant is
     skipped (and logged). A score for an utterance outside the manifest
-    raises EmptyGroupError.
+    raises PipelineError.
     """
     by_utterance = {r.utterance_id: r for r in manifest}
     group_keys = sorted({r.group_key for r in manifest})
@@ -276,7 +280,7 @@ def aggregate_speaker(scores: list[ScoreRecord],
             continue
         seen = ratings.get(key)
         if seen is not None and seen != rec.rating:
-            raise RatingMismatchError(
+            raise ManifestFormatError(
                 f"speaker-time {key} carries ratings {seen} and {rec.rating}")
         ratings[key] = rec.rating
 
@@ -284,8 +288,7 @@ def aggregate_speaker(scores: list[ScoreRecord],
     for score in scores:
         rec = by_utterance.get(score.utterance_id)
         if rec is None:
-            raise EmptyGroupError(
-                f"score for unknown utterance {score.utterance_id!r}")
+            raise PipelineError(f"score for unknown utterance {score.utterance_id!r}")
         grouped.setdefault(_variant_key(score), {}).setdefault(
             rec.group_key, []).append(score.value)
 
@@ -547,32 +550,39 @@ def _persist(results: list[UtteranceResult], run_dir: Path) -> None:
                    ["utterance_id", "stage", "message"], exclusions)
 
 
-def require_scored(results: list[UtteranceResult]) -> int:
-    """Number of utterances with at least one score; PipelineError if none."""
-    n_scored = sum(1 for res in results if res.scores)
-    if not n_scored:
+def score_manifest(manifest: list[UtteranceRecord], config: EvalConfig,
+                   on_result=None) -> list[UtteranceResult]:
+    """Score every utterance in manifest order, passing each result to
+    on_result as it is made; PipelineError if no utterance got a score."""
+    results = []
+    for record in manifest:
+        results.append(score_utterance(record, config))
+        if on_result is not None:
+            on_result(results[-1])
+    if not any(res.scores for res in results):
         raise PipelineError("no utterance produced any score")
-    return n_scored
+    return results
 
 
 def run_pipeline(manifest: list[UtteranceRecord], config: EvalConfig,
-                 output_dir: str | Path) -> PipelineResult:
-    """Score every utterance, aggregate, correlate, and persist the run.
+                 output_dir: str | Path, on_result=None) -> PipelineResult:
+    """Score every utterance (by score_manifest), aggregate, correlate, and
+    persist the run.
 
-    Per-utterance failures are quarantined into exclusions; the run fails
-    only when no utterance could be scored at all.
+    Per-utterance failures are quarantined into exclusions. A run that fails
+    as a whole (no utterance scored, a rejected key, conflicting ratings)
+    creates no run directory.
     """
-    run_dir = Path(output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    results = [score_utterance(r, config)
-               for r in sorted(manifest, key=lambda r: r.utterance_id)]
-    n_scored = require_scored(results)
+    results = score_manifest(manifest, config, on_result)
+    n_scored = sum(1 for res in results if res.scores)
     all_scores = [s for res in results for s in res.scores]
 
     speaker_scores = aggregate_speaker(all_scores, manifest)
     run_results, notes = correlate(speaker_scores)
     report = build_report(run_results, manifest, config, notes, n_scored)
+
+    run_dir = Path(output_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     snapshot = dict(config.snapshot)
     snapshot.setdefault("methods", list(config.methods))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateUtteranceError, ManifestFormatError
+from .errors import ManifestFormatError
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
             except (TypeError, ManifestFormatError) as exc:
                 raise ManifestFormatError(f"{path}:{lineno}: {exc}") from exc
             if record.utterance_id in seen:
-                raise DuplicateUtteranceError(
+                raise ManifestFormatError(
                     f"{path}:{lineno}: duplicate utterance_id {record.utterance_id!r}")
             seen.add(record.utterance_id)
             records.append(record)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import MissingGroundTruthError
+from .errors import MissingInputError
 from .transcript import Transcript
 
 # method -> (hypothesis, reference) transcripts its WER compares
@@ -164,7 +164,7 @@ def reference_wer(hyp: Transcript, ground_truth: Transcript | None,
                   run_index: int | None = None) -> ScoreRecord:
     """Standard WER against the ground-truth transcription."""
     if ground_truth is None:
-        raise MissingGroundTruthError(f"{utterance_id}: no ground-truth text")
+        raise MissingInputError(f"{utterance_id}: no ground-truth text")
     return inconsistency_score(hyp, ground_truth, utterance_id, method=method,
                                model_name=model_name, run_index=run_index)
 

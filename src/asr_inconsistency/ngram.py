@@ -14,12 +14,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    ArpaFormatError,
-    CountMismatchError,
-    EmptySequenceError,
-    TruncatedModelError,
-)
+from .errors import ArpaFormatError
 
 LN10 = math.log(10.0)
 # ln P of a word the model has no entry for, when it has no <unk> either
@@ -81,7 +76,7 @@ class NGramModel:
         """Sum of per-word conditionals; boundary tokens applied when the
         model defines them."""
         if not words:
-            raise EmptySequenceError("cannot score an empty word sequence")
+            raise ValueError("cannot score an empty word sequence")
         context = self.initial_context()
         total = 0.0
         for w in words:
@@ -203,13 +198,12 @@ def parse_arpa(text: str) -> NGramModel:
         words = tuple(parts[1:current + 1])
         tables[current - 1][words] = (logp, backoff)
     if not saw_end:
-        raise TruncatedModelError("missing \\end\\ marker")
+        raise ArpaFormatError("missing \\end\\ marker")
 
     for n, declared in counts.items():
         actual = len(tables[n - 1])
         if actual != declared:
-            raise CountMismatchError(
-                f"declared {declared} {n}-grams, found {actual}")
+            raise ArpaFormatError(f"declared {declared} {n}-grams, found {actual}")
 
     return NGramModel(order=order, tables=tuple(tables))
 
@@ -230,7 +224,7 @@ def load_arpa(path: str | Path) -> NGramModel:
     try:
         return parse_arpa(text)
     except ArpaFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise ArpaFormatError(f"{path}: {exc}") from exc
 
 
 def write_arpa(model: NGramModel) -> str:

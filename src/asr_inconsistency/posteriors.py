@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteEntryError,
-    PositiveLogProbError,
-    PosteriorFormatError,
-    RowNotNormalizedError,
-)
+from .errors import PosteriorFormatError
 from .vocab import Vocabulary
 
 CTCP_MAGIC = b"CTCP"
@@ -42,14 +36,14 @@ class PosteriorMatrix:
             raise PosteriorFormatError(
                 f"{utterance_id}: expected a T x V matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteEntryError(f"{utterance_id}: non-finite log-probability")
+            raise PosteriorFormatError(f"{utterance_id}: non-finite log-probability")
         if np.any(arr > 0.0):
-            raise PositiveLogProbError(
+            raise PosteriorFormatError(
                 f"{utterance_id}: positive log-probability entry")
         sums = np.exp(arr).sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
-            raise RowNotNormalizedError(
+            raise PosteriorFormatError(
                 f"{utterance_id}: row {bad[0]} sums to {sums[bad[0]]:.6f}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -76,7 +70,7 @@ def load_posteriors(path: str | Path, vocab: Vocabulary) -> PosteriorMatrix:
     else:
         arr = _parse_text(raw, str(path))
     if arr.shape[1] != len(vocab):
-        raise DimensionMismatchError(
+        raise PosteriorFormatError(
             f"{path}: {arr.shape[1]} columns vs vocabulary of {len(vocab)}")
     return PosteriorMatrix.from_array(path.stem, arr)
 

@@ -10,13 +10,14 @@ offline runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .errors import AuthError, EmptyReplyError, RateLimitedError, TransportError
+from .errors import AuthError, EmptyReplyError, TransportError
 from .transcript import Transcript
 
 BRACKETED = "bracketed"
@@ -79,8 +80,9 @@ class CorrectionRequest:
     def __post_init__(self) -> None:
         if not self.sentence.strip():
             raise ValueError("sentence is empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # json.dumps would write a non-finite one as NaN or Infinity, not JSON
+        if not (self.temperature >= 0 and math.isfinite(self.temperature)):
+            raise ValueError("temperature must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ class HttpChatClient:
             if status in (401, 403):
                 raise AuthError(f"endpoint returned {status}")
             if status == 429:
-                error = RateLimitedError("rate limited by endpoint")
+                error = TransportError("rate limited by endpoint")
                 continue
             if status >= 500:
                 error = TransportError(f"server error {status}")

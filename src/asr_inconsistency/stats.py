@@ -6,13 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateVarianceError,
-    LengthMismatchError,
-    NonConvergenceError,
-    NonFiniteEntryError,
-    TooFewValuesError,
-)
+from .errors import StatisticsError
 
 _VAR_EPS = 1e-12
 _CF_MAX_ITER = 10_000
@@ -24,19 +18,19 @@ _PPF_MAX_ITER = 200
 def pearson(x: list[float], y: list[float]) -> float:
     """Sample Pearson correlation coefficient."""
     if len(x) != len(y):
-        raise LengthMismatchError(f"{len(x)} vs {len(y)} points")
+        raise StatisticsError(f"{len(x)} vs {len(y)} points")
     if len(x) < 3:
-        raise TooFewValuesError("need at least 3 points")
+        raise StatisticsError("need at least 3 points")
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise NonFiniteEntryError("an input holds a NaN or infinite value")
+        raise StatisticsError("an input holds a NaN or infinite value")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sxx = float(np.dot(xc, xc))
     syy = float(np.dot(yc, yc))
     if sxx == 0.0 or syy == 0.0:
-        raise DegenerateVarianceError("an input has zero variance")
+        raise StatisticsError("an input has zero variance")
     r = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
@@ -45,7 +39,7 @@ def mean_ci(values: list[float], level: float = 0.95) -> tuple[float, float]:
     """Mean and Student-t confidence-interval halfwidth."""
     n = len(values)
     if n < 2:
-        raise TooFewValuesError("need at least 2 values for an interval")
+        raise StatisticsError("need at least 2 values for an interval")
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
@@ -62,7 +56,7 @@ def two_sample_t(a: list[float], b: list[float]) -> tuple[float, float]:
     """
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
-        raise TooFewValuesError("need at least 2 values per sample")
+        raise StatisticsError("need at least 2 values per sample")
     aa = np.asarray(a, dtype=np.float64)
     ba = np.asarray(b, dtype=np.float64)
     va = float(aa.var(ddof=1))
@@ -104,7 +98,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             h *= step
         if abs(step - 1.0) < _CF_EPS:
             return h
-    raise NonConvergenceError(
+    raise StatisticsError(
         f"incomplete beta continued fraction did not converge "
         f"(a={a}, b={b}, x={x})")
 
@@ -168,4 +162,4 @@ def _t_ppf(q: float, df: float) -> float:
         if abs(nxt - t) <= 4.0 * _CF_EPS * nxt:
             return nxt
         t = nxt
-    raise NonConvergenceError(f"Student-t quantile did not converge (q={q}, df={df})")
+    raise StatisticsError(f"Student-t quantile did not converge (q={q}, df={df})")

@@ -5,13 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    DuplicateSymbolError,
-    EmptyVocabularyError,
-    MissingBlankError,
-    MissingDelimiterError,
-    VocabularyError,
-)
+from .errors import VocabularyError
 
 BLANK_MARKER = "<blank>"
 DELIMITER_MARKER = "|"
@@ -27,14 +21,14 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         if not self.symbols:
-            raise EmptyVocabularyError("vocabulary has no symbols")
+            raise VocabularyError("vocabulary has no symbols")
         if any(not s for s in self.symbols):
             raise VocabularyError("vocabulary contains an empty symbol")
         if len(set(self.symbols)) != len(self.symbols):
             seen: set[str] = set()
             for s in self.symbols:
                 if s in seen:
-                    raise DuplicateSymbolError(f"duplicate symbol {s!r}")
+                    raise VocabularyError(f"duplicate symbol {s!r}")
                 seen.add(s)
         for name, idx in (("blank_index", self.blank_index),
                           ("delimiter_index", self.delimiter_index)):
@@ -58,7 +52,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     except UnicodeDecodeError as exc:
         raise VocabularyError(f"{path}: not UTF-8 text") from exc
     if not lines:
-        raise EmptyVocabularyError(f"{path}: empty vocabulary file")
+        raise VocabularyError(f"{path}: empty vocabulary file")
     for i, sym in enumerate(lines):
         if not sym:
             raise VocabularyError(f"{path}:{i + 1}: empty symbol")
@@ -66,9 +60,9 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     try:
         blank = symbols.index(BLANK_MARKER)
     except ValueError:
-        raise MissingBlankError(f"{path}: no {BLANK_MARKER!r} line") from None
+        raise VocabularyError(f"{path}: no {BLANK_MARKER!r} line") from None
     try:
         delim = symbols.index(DELIMITER_MARKER)
     except ValueError:
-        raise MissingDelimiterError(f"{path}: no {DELIMITER_MARKER!r} line") from None
+        raise VocabularyError(f"{path}: no {DELIMITER_MARKER!r} line") from None
     return Vocabulary(symbols=symbols, blank_index=blank, delimiter_index=delim)

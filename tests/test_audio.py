@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from asr_inconsistency import AudioBuffer, read_wav, write_wav
-from asr_inconsistency.errors import (
-    NonMonoAudioError,
-    TruncatedAudioError,
-    UnsupportedEncodingError,
-)
+from asr_inconsistency.errors import AudioError
 
 
 def write_pcm(path, samples_int16, rate=16000, channels=1, sampwidth=2):
@@ -41,7 +37,7 @@ def test_full_scale_negative_maps_to_minus_one(tmp_path):
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "st.wav"
     write_pcm(path, np.zeros(200, dtype=np.int16), channels=2)
-    with pytest.raises(NonMonoAudioError):
+    with pytest.raises(AudioError, match="2 channels"):
         read_wav(path)
 
 
@@ -52,7 +48,7 @@ def test_8bit_rejected(tmp_path):
         wav.setsampwidth(1)
         wav.setframerate(8000)
         wav.writeframes(b"\x80" * 100)
-    with pytest.raises(UnsupportedEncodingError):
+    with pytest.raises(AudioError, match="only uncompressed 16-bit PCM"):
         read_wav(path)
 
 
@@ -65,14 +61,14 @@ def test_truncated_data_rejected(tmp_path):
     truncated = bytearray(raw)
     truncated[n_frames_offset:n_frames_offset + 4] = struct.pack("<I", 400)
     path.write_bytes(bytes(truncated))
-    with pytest.raises(TruncatedAudioError):
+    with pytest.raises(AudioError, match="expected 200 frames, got 100"):
         read_wav(path)
 
 
 def test_non_wav_rejected(tmp_path):
     path = tmp_path / "x.wav"
     path.write_bytes(b"this is not RIFF data at all")
-    with pytest.raises(UnsupportedEncodingError):
+    with pytest.raises(AudioError, match="does not start with RIFF id"):
         read_wav(path)
 
 

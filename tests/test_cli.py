@@ -423,6 +423,49 @@ class TestEval:
         assert json.loads((run_dir / "config.json").read_text())["argv"] == argv
 
 
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_rejected_key_stops_at_the_first_request(synthetic_corpus, chat_server,
+                                                 tmp_path, capsys, monkeypatch,
+                                                 command):
+    monkeypatch.setenv("LLM_ENDPOINT_URL", chat_server.url)
+    monkeypatch.setenv("LLM_API_KEY", "rejected")
+    chat_server.script = [401] * (72 * 3)  # every request the corpus could make
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command,
+                                "--manifest", str(synthetic_corpus.manifest_path),
+                                "--vocab", str(synthetic_corpus.vocab_path),
+                                "--methods", "llm,speech_rate", "--model", "m",
+                                "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error: endpoint returned 401\n")
+    assert len(chat_server.requests) == 1
+    assert not out.exists()
+
+
+def test_score_and_eval_write_one_table_in_manifest_order(synthetic_corpus,
+                                                          tmp_path, capsys):
+    manifest = tmp_path / "reversed.jsonl"
+    objs = write_manifest_lines(manifest, synthetic_corpus, 72,
+                                {5: {"posterior_path": "missing.ctcp"}})
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(reversed(lines)))
+    flags = ["--manifest", str(manifest), "--vocab", str(synthetic_corpus.vocab_path),
+             "--methods", "speech_rate,wada_snr,llm,reference_wer",
+             "--mock", "--mock-replies", str(synthetic_corpus.mock_half_fix_path)]
+    scores, run_dir = tmp_path / "scores.csv", tmp_path / "run"
+    score_code, _, score_err = run_cli(capsys, "score", *flags, "--out", str(scores))
+    eval_code, _, eval_err = run_cli(capsys, "eval", *flags, "--out", str(run_dir))
+    assert (score_code, eval_code) == (0, 0)
+    table = (run_dir / "utterance_scores.csv").read_bytes()
+    assert scores.read_bytes() == table
+    with open(scores, encoding="utf-8") as fin:
+        order = list(dict.fromkeys(r["utterance_id"] for r in csv.DictReader(fin)))
+    assert order == [obj["utterance_id"] for obj in reversed(objs)]
+    # the broken posterior excludes only the methods that decode
+    assert score_err == eval_err
+    assert score_err.count("\n") == 1
+    assert score_err.startswith(f"warning: {objs[5]['utterance_id']}: decode: ")
+
+
 # one out-of-range flag value each; {out} is where the output would go
 BAD_FLAG_VALUES = {
     "score_beam_width": "score --manifest {manifest} --vocab {vocab} "
@@ -441,6 +484,10 @@ BAD_FLAG_VALUES = {
     "eval_empty_model": "eval --manifest {manifest} --vocab {vocab} "
                         "--methods llm,reference_wer --mock --model '' --runs 1 "
                         "--out {out}",
+    "score_temperature_inf": "score --manifest {manifest} --vocab {vocab} "
+                             "--methods llm --mock --temperature inf --out {out}",
+    "score_temperature_nan": "score --manifest {manifest} --vocab {vocab} "
+                             "--methods llm --mock --temperature nan --out {out}",
 }
 
 

@@ -17,10 +17,9 @@ from asr_inconsistency import (
     run_pipeline,
 )
 from asr_inconsistency.errors import (
-    EmptyGroupError,
+    ManifestFormatError,
     PipelineError,
     PosteriorFormatError,
-    RatingMismatchError,
 )
 from asr_inconsistency import harness
 from asr_inconsistency.harness import (
@@ -76,7 +75,7 @@ class TestAggregateSpeaker:
 
     def test_conflicting_ratings_rejected(self):
         manifest = [record("u1", "A", rating=4.0), record("u2", "A", rating=3.0)]
-        with pytest.raises(RatingMismatchError):
+        with pytest.raises(ManifestFormatError, match="carries ratings 4.0 and 3.0"):
             aggregate_speaker([score("u1", 0.5), score("u2", 0.5)], manifest)
 
     def test_method_variants_grouped_separately(self):
@@ -103,7 +102,7 @@ class TestAggregateSpeaker:
 
     def test_score_for_unknown_utterance_rejected(self):
         manifest = [record("u1", "A")]
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(PipelineError, match="unknown utterance 'ghost'"):
             aggregate_speaker([score("ghost", 0.5)], manifest)
 
 
@@ -289,8 +288,10 @@ class TestPipeline:
                   for i in range(3)]
         config = EvalConfig(methods=("reference_wer",), vocab=vocab,
                             base_dir=synthetic_corpus.root)
-        with pytest.raises(PipelineError):
+        with pytest.raises(PipelineError, match="no utterance produced any score"):
             run_pipeline(broken, config, tmp_path / "r")
+        # a failed run leaves no run directory behind
+        assert not (tmp_path / "r").exists()
 
 
 class TestLlmAccuracyDirections:
@@ -337,9 +338,9 @@ class TestEvalConfig:
         with pytest.raises(ValueError, match="speech rate unit"):
             EvalConfig(methods=("speech_rate",), speech_rate_unit="words_per_hour")
 
-    @pytest.mark.parametrize("temperature", [-1.0, float("nan")])
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
     def test_negative_or_nan_llm_temperature_rejected(self, temperature):
-        with pytest.raises(ValueError, match="llm_temperature"):
+        with pytest.raises(ValueError, match="llm_temperature must be a finite number >= 0"):
             EvalConfig(methods=("speech_rate",), llm_temperature=temperature)
 
     def test_empty_llm_model_name_rejected(self):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from asr_inconsistency import UtteranceRecord, load_manifest, write_manifest
-from asr_inconsistency.errors import DuplicateUtteranceError, ManifestFormatError
+from asr_inconsistency.errors import ManifestFormatError
 
 
 def write_lines(tmp_path, objs):
@@ -26,7 +26,7 @@ def test_duplicate_utterance_id_rejected(tmp_path):
         {"utterance_id": "u1", "speaker_id": "s1", "posterior_path": "a"},
         {"utterance_id": "u1", "speaker_id": "s2", "posterior_path": "b"},
     ])
-    with pytest.raises(DuplicateUtteranceError):
+    with pytest.raises(ManifestFormatError, match="duplicate utterance_id 'u1'"):
         load_manifest(path)
 
 

@@ -12,7 +12,7 @@ from asr_inconsistency import (
     render_diff,
     wer,
 )
-from asr_inconsistency.errors import MissingGroundTruthError
+from asr_inconsistency.errors import MissingInputError
 from asr_inconsistency.metrics import diff_to_jsonl
 
 import oracles
@@ -165,7 +165,7 @@ class TestReferenceWer:
         assert reference_wer(greedy(""), truth("de kat zit hier")).value == 1.0
 
     def test_missing_ground_truth_raises(self):
-        with pytest.raises(MissingGroundTruthError):
+        with pytest.raises(MissingInputError, match="no ground-truth text"):
             reference_wer(greedy("de kat"), None)
 
     def test_records_edit_counts_for_pooling(self):

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from asr_inconsistency import load_arpa, parse_arpa, write_arpa
-from asr_inconsistency.errors import (
-    ArpaFormatError,
-    CountMismatchError,
-    EmptySequenceError,
-    TruncatedModelError,
-)
+from asr_inconsistency.errors import ArpaFormatError
 from asr_inconsistency.ngram import OOV_FLOOR_LN, LN10
 
 from conftest import BIGRAM_ARPA, BIGRAM_ONLY_WORD_ARPA, TRIGRAM_ARPA, UNK_BIGRAM_ARPA
@@ -35,11 +30,11 @@ class TestParsing:
 
     def test_count_mismatch_rejected(self):
         bad = UNIGRAM_ARPA.replace("ngram 1=2", "ngram 1=3")
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(ArpaFormatError, match="declared 3 1-grams, found 2"):
             parse_arpa(bad)
 
     def test_missing_end_rejected(self):
-        with pytest.raises(TruncatedModelError):
+        with pytest.raises(ArpaFormatError, match=r"missing \\end\\ marker"):
             parse_arpa(UNIGRAM_ARPA.replace("\\end\\", ""))
 
     def test_missing_data_section_rejected(self):
@@ -95,18 +90,19 @@ class TestParsing:
             load_arpa(path)
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("old, new, error", [
-        ("-0.5\ta\t-0.3", "-0.5\ta\tnan", ArpaFormatError),
-        ("ngram 2=2", "ngram 2=3", CountMismatchError),
-        ("\\end\\", "", TruncatedModelError),
+    @pytest.mark.parametrize("old, new, message", [
+        ("-0.5\ta\t-0.3", "-0.5\ta\tnan",
+         "line 6: log-probability and back-off must be finite"),
+        ("ngram 2=2", "ngram 2=3", "declared 3 2-grams, found 2"),
+        ("\\end\\", "", "missing \\end\\ marker"),
     ], ids=["line", "counts", "truncated"])
-    def test_load_errors_name_the_file(self, tmp_path, old, new, error):
+    def test_load_errors_name_the_file(self, tmp_path, old, new, message):
         path = tmp_path / "lm.arpa"
         path.write_text(BIGRAM_ARPA.replace(old, new))
-        with pytest.raises(error) as err:
+        with pytest.raises(ArpaFormatError) as err:
             load_arpa(path)
-        assert type(err.value) is error
-        assert str(err.value).startswith(f"{path}: ")
+        # the parser's message, with the file in front
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestBackoffQueries:
@@ -205,7 +201,7 @@ class TestSequenceScoring:
         assert bigram_model.sequence_logprob(["zebra"]) == OOV_FLOOR_LN
 
     def test_empty_sequence_rejected(self, bigram_model):
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(ValueError, match="empty word sequence"):
             bigram_model.sequence_logprob([])
 
     def test_sum_equals_incremental_advance(self, bigram_model):

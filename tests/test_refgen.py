@@ -1,3 +1,4 @@
+import math
 import socket
 import socketserver
 import sys
@@ -16,12 +17,7 @@ from asr_inconsistency import (
     extract_bracketed,
 )
 from asr_inconsistency import refgen
-from asr_inconsistency.errors import (
-    AuthError,
-    EmptyReplyError,
-    RateLimitedError,
-    TransportError,
-)
+from asr_inconsistency.errors import AuthError, EmptyReplyError, TransportError
 from asr_inconsistency.refgen import BRACKETED, FALLBACK_WHOLE_REPLY, PROMPT_TEMPLATE
 
 
@@ -131,6 +127,13 @@ class TestCorrectWithLlm:
         with pytest.raises(ValueError):
             CorrectionRequest(language="Dutch", sentence="  ", model_name="m")
 
+    @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_temperature_rejected(self, temperature):
+        # json.dumps would send nan or inf as NaN or Infinity, which is not JSON
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            CorrectionRequest(language="Dutch", sentence="de kat", model_name="m",
+                              temperature=temperature)
+
 
 class TestHttpClientRetries:
     """The live client against a loopback endpoint, with `requests`
@@ -201,12 +204,14 @@ class TestHttpClientRetries:
             self.correct(client)
         assert delays == [1.0, 2.0, 4.0]
 
-    @pytest.mark.parametrize("failure,error", [
-        (500, TransportError), (502, TransportError), (429, RateLimitedError)])
-    def test_gives_up_after_max_retries(self, live, failure, error):
+    @pytest.mark.parametrize("failure,message", [
+        (500, "server error 500"), (502, "server error 502"),
+        (429, "rate limited by endpoint")],
+        ids=["500-TransportError", "502-TransportError", "429-TransportError"])
+    def test_gives_up_after_max_retries(self, live, failure, message):
         client, server, delays = live
         server.script = [failure] * (refgen.MAX_RETRIES + 1)
-        with pytest.raises(error):
+        with pytest.raises(TransportError, match=message):
             self.correct(client)
         assert len(server.requests) == 4
         assert delays == [1.0, 2.0, 4.0]

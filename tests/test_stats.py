@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from asr_inconsistency import mean_ci, pearson, stats, two_sample_t
-from asr_inconsistency.errors import (
-    DegenerateVarianceError,
-    LengthMismatchError,
-    NonConvergenceError,
-    NonFiniteEntryError,
-    TooFewValuesError,
-)
+from asr_inconsistency.errors import StatisticsError
 from asr_inconsistency.stats import _t_ppf, _t_sf
 
 import oracles
@@ -43,23 +37,23 @@ class TestPearson:
             assert abs(pearson(x, [a * v + b for v in y]) - base) < 1e-12
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(StatisticsError, match="3 vs 2 points"):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewValuesError):
+        with pytest.raises(StatisticsError, match="need at least 3 points"):
             pearson([1.0, 2.0], [1.0, 2.0])
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(StatisticsError, match="zero variance"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         # NaN used to pass the clamp to [-1, 1] as a perfect correlation
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(StatisticsError, match="NaN or infinite"):
             pearson([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(StatisticsError, match="NaN or infinite"):
             pearson([1.0, 3.0, 2.0, 5.0], [1.0, 2.0, bad, 4.0])
 
 
@@ -77,7 +71,7 @@ class TestMeanCi:
         assert half == 0.0
 
     def test_single_value_rejected(self):
-        with pytest.raises(TooFewValuesError):
+        with pytest.raises(StatisticsError, match="at least 2 values for an interval"):
             mean_ci([1.0])
 
     def test_level_is_configurable(self):
@@ -117,7 +111,7 @@ class TestTwoSampleT:
             assert p == pytest.approx(p_ref, abs=1e-6)
 
     def test_too_few_values(self):
-        with pytest.raises(TooFewValuesError):
+        with pytest.raises(StatisticsError, match="at least 2 values per sample"):
             two_sample_t([1.0], [1.0, 2.0])
 
 
@@ -181,14 +175,14 @@ class TestStudentT:
                 _t_ppf(q, 3)
 
     def test_nan_input_raises_non_convergence(self):
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(StatisticsError, match="did not converge"):
             _t_sf(math.nan, 3)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(StatisticsError, match="did not converge"):
             _t_sf(1.0, math.nan)
 
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(stats, "_CF_MAX_ITER", 2)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(StatisticsError, match="did not converge"):
             _t_sf(2.0, 10)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(StatisticsError, match="did not converge"):
             mean_ci([1.0, 2.0, 4.0, 8.0])
