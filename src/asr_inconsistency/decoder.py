@@ -355,7 +355,9 @@ def _top(scores: np.ndarray, width: int, keys_of) -> np.ndarray:
     n = len(scores)
     if n <= width:
         return np.arange(n)
-    cut = np.partition(scores, n - width)[n - width]
+    part = scores.copy()
+    part.partition(n - width)
+    cut = part[n - width]
     chosen = scores >= cut
     extra = np.count_nonzero(chosen) - width
     if extra > 0:
@@ -422,13 +424,15 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
     floats = np.array([[0.0], [NEG_INF], [0.0], [np.nan]])
     ints = np.array([[0], [0], [-1], [-1], [0], [-1], [0]], dtype=np.int64)
     keys = [""]
+    # slot indices: the first n of them are a frame's slots
+    slot_range = np.arange(cfg.beam_width)
 
     for t in range(post.frame_count):
         row = post.frames[t]
         logp_b, logp_nb, lm_logp, close_lp = floats
         words, node, parent, last, state, close_state, word = ints
         n = len(keys)
-        slots = np.arange(n)
+        slots = slot_range[:n]
         open_word = word != 0
         # the frame's best slot always stays, so some total is finite
         totals = np.logaddexp(logp_b, logp_nb)
@@ -442,7 +446,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         # extending slot i with symbol k draws on all of its mass, or only on
         # the blank-ending mass when k repeats its last symbol (the empty
         # prefix's total is its blank mass, so its row[-1] entry is right too)
-        src = np.repeat(totals, n_symbols).reshape(n, n_symbols)
+        src = totals.repeat(n_symbols).reshape(n, n_symbols)
         src[slots, last] = logp_b
         src[:, blank] = NEG_INF
         ext = src + row
@@ -467,7 +471,8 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         # the frame's best total is known before any child is built (a slot
         # that does not exist has a total of -inf, and ext is -inf wherever
         # src is)
-        best_total = float(max(keep_totals.max(), ext.max()))
+        best_total = max(float(np.maximum.reduce(keep_totals)),
+                         float(np.maximum.reduce(ext, axis=None)))
         if best_total == NEG_INF:
             raise EmptyBeamError(f"{post.utterance_id}: all hypotheses at -inf mass")
         floor = best_total + cfg.prune_logp_floor
@@ -485,16 +490,19 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
         # with the completed word's ln P and count for a delimiter child
         lm_term = alpha * lm_logp
         words_term = beta * words
-        child_scores = ext + lm_term[:, None] + words_term[:, None]
-        child_scores[closer, delim] = (ext[closer, delim]
-                                       + alpha * (lm_logp[closer] + close_lp[closer])
-                                       + beta * (words[closer] + 1))
+        child_scores = ext + lm_term[:, None]
+        child_scores += words_term[:, None]
+        # the closing scores of every slot, read only at the closers (a slot
+        # whose closing pair is not looked up yet scores NaN)
+        child_scores[closer, delim] = (ext[:, delim]
+                                       + alpha * (lm_logp + close_lp)
+                                       + beta * (words + 1))[closer]
         kept_scores = (keep_totals + lm_term + words_term)[kept]
         n_kept = len(kept)
         if n_kept == cfg.beam_width:
             # the cut is no lower than the worst kept score, so a child
             # below it cannot make the beam
-            is_child &= child_scores >= kept_scores.min()
+            is_child &= child_scores >= np.minimum.reduce(kept_scores)
         flat = is_child.ravel().nonzero()[0]
         # a slot that stays carries this frame's masses
         logp_b[:], logp_nb[:] = keep_b, keep_nb
@@ -513,7 +521,7 @@ def decode_beams(post: PosteriorMatrix, vocab: Vocabulary,
                 keys[i] + symbol_keys[k] for i, k in zip(parents.tolist(), syms.tolist())]
 
         chosen = _top(scores, cfg.beam_width, keys_of)
-        split = np.searchsorted(chosen, n_kept)
+        split = chosen.searchsorted(n_kept)
         stay = kept[chosen[:split]]
         born = flat[chosen[split:] - n_kept]
         born_parent, born_symbol = np.divmod(born, n_symbols)

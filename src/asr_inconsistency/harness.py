@@ -537,12 +537,13 @@ def _persist(results: list[UtteranceResult], run_dir: Path) -> None:
         for label, transcript in sorted(res.references.items()):
             (udir / f"{_safe_name(label)}.txt").write_text(
                 transcript.text() + "\n", "utf-8")
+    replies = [(f"{_safe_name(res.record.utterance_id)}__{_safe_name(label)}.txt", reply)
+               for res in results for label, reply in sorted(res.raw_replies.items())]
     rdir = run_dir / "llm_raw"
-    for res in results:
-        for label, reply in sorted(res.raw_replies.items()):
-            rdir.mkdir(parents=True, exist_ok=True)
-            name = f"{_safe_name(res.record.utterance_id)}__{_safe_name(label)}.txt"
-            (rdir / name).write_text(reply + "\n", "utf-8")
+    if replies:
+        rdir.mkdir(exist_ok=True)
+    for name, reply in replies:
+        (rdir / name).write_text(reply + "\n", "utf-8")
     exclusions = [[res.record.utterance_id, stage, message]
                   for res in results for stage, message in res.errors]
     if exclusions:

@@ -16,30 +16,34 @@ from .errors import TranscriptInvariantError
 # Punctuation kept when it sits directly between two word characters
 # ("it's", "o-k"); includes the typographic apostrophe.
 _INTRA_WORD = {"'", "’", "-"}
+# Decimal marks kept between two digits ("3.5", "3,5")
+_DECIMAL = {".", ","}
 
 
 def normalize_text(text: str) -> list[str]:
     """Normalize raw text to a list of comparable word tokens.
 
-    NFC-normalize, lowercase, drop punctuation (Unicode category P*) except
-    intra-word apostrophes/hyphens, treat the word-delimiter bar as
-    whitespace, collapse whitespace, and split. Empty input gives an empty
+    NFC-normalize, lowercase, and split at whitespace. Punctuation (Unicode
+    category P*) is a word boundary, as is the word-delimiter bar, so
+    "hello,world" and "niño—niña" are two words each. Two kinds of mark are
+    kept inside a token: an apostrophe or hyphen between two word characters
+    ("it's", "zo'n", "well-known"; a leading or trailing one is a boundary,
+    so "'t" is "t"), and a decimal point or comma between two digits, so a
+    decimal number is one token ("3.5", "3,5"). Empty input gives an empty
     list.
     """
-    chars = list(unicodedata.normalize("NFC", text).lower())
+    chars = unicodedata.normalize("NFC", text).lower()
     n = len(chars)
     kept: list[str] = []
     for i, ch in enumerate(chars):
-        if ch == "|":
-            # the CTC word delimiter is a boundary, never part of a word
-            kept.append(" ")
-            continue
-        if unicodedata.category(ch).startswith("P"):
-            if ch in _INTRA_WORD:
-                prev_ok = i > 0 and chars[i - 1].isalnum()
-                next_ok = i + 1 < n and chars[i + 1].isalnum()
-                if prev_ok and next_ok:
-                    kept.append(ch)
+        if ch == "|" or unicodedata.category(ch).startswith("P"):
+            prev = chars[i - 1] if i > 0 else ""
+            after = chars[i + 1] if i + 1 < n else ""
+            if ((ch in _INTRA_WORD and prev.isalnum() and after.isalnum())
+                    or (ch in _DECIMAL and prev.isdecimal() and after.isdecimal())):
+                kept.append(ch)
+            else:
+                kept.append(" ")
             continue
         kept.append(ch)
     return "".join(kept).split()

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import golden
 from asr_inconsistency import Vocabulary, PosteriorMatrix, parse_arpa
 from asr_inconsistency.refgen import PROMPT_TEMPLATE
 
@@ -165,9 +166,16 @@ ngram 2=3
 def synthetic_corpus(tmp_path_factory):
     from asr_inconsistency.synthetic import generate_corpus
 
-    root = tmp_path_factory.mktemp("corpus")
-    return generate_corpus(root, n_speakers=12, utterances_per_speaker=6,
-                           words_per_utterance=5, seed=20240, write_audio=True)
+    return generate_corpus(tmp_path_factory.mktemp("corpus"), **golden.CORPUS)
+
+
+@pytest.fixture(scope="session")
+def quickstart_run(synthetic_corpus, tmp_path_factory):
+    """The run directory of the README quick-start eval; tests copy it
+    before changing anything in it."""
+    run_dir = tmp_path_factory.mktemp("quickstart") / "run"
+    golden.quickstart_eval(synthetic_corpus, run_dir)
+    return run_dir
 
 
 _HEAD, _, _TAIL = PROMPT_TEMPLATE.partition("{sentence}")

@@ -49,21 +49,6 @@ def eval_values(synthetic_corpus, tmp_path_factory):
                 for r in csv.DictReader(fin)}
 
 
-@pytest.fixture(scope="module")
-def quickstart_run(synthetic_corpus, tmp_path_factory):
-    """The run directory of the README quick-start eval; tests copy it
-    before changing anything in it."""
-    run_dir = tmp_path_factory.mktemp("quickstart") / "run"
-    code = main(["eval", "--manifest", str(synthetic_corpus.manifest_path),
-                 "--vocab", str(synthetic_corpus.vocab_path),
-                 "--methods", "speech_rate,wada_snr,ngram,llm,reference_wer",
-                 "--lm", str(synthetic_corpus.lm_path),
-                 "--mock", "--mock-replies", str(synthetic_corpus.mock_half_fix_path),
-                 "--dataset-name", "synthetic", "--out", str(run_dir)])
-    assert code == 0
-    return run_dir
-
-
 def file_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 

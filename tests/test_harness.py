@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +232,26 @@ class TestPipeline:
         assert (tdir / "llm_mock-corrector_run0.txt").exists()
         assert (run_dir / "llm_raw" /
                 f"{first}__llm_mock-corrector_run0.txt").exists()
+
+    @pytest.mark.parametrize("methods", [("speech_rate", "llm"), ("speech_rate",)])
+    def test_llm_raw_is_made_once_and_only_for_replies(self, synthetic_corpus, tmp_path,
+                                                       monkeypatch, methods):
+        made = []
+        mkdir = Path.mkdir
+
+        def recording(path, *args, **kwargs):
+            made.append(path.name)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", recording)
+        config = EvalConfig(
+            methods=methods, vocab=load_vocabulary(synthetic_corpus.vocab_path),
+            llm_models=(LlmSpec("mock-corrector", MockCorrector()),) if "llm" in methods else (),
+            base_dir=synthetic_corpus.root)
+        run_pipeline(load_manifest(synthetic_corpus.manifest_path), config, tmp_path / "run")
+        replies = "llm" in methods
+        assert made.count("llm_raw") == replies
+        assert (tmp_path / "run" / "llm_raw").is_dir() == replies
 
     def test_config_snapshot_is_valid_json(self, corpus_run):
         result, _ = corpus_run

@@ -1,7 +1,55 @@
+import unicodedata
+
 import pytest
 
-from asr_inconsistency import Transcript, normalize_text
+from asr_inconsistency import (
+    PosteriorMatrix,
+    Transcript,
+    Vocabulary,
+    collapse,
+    extract_bracketed,
+    greedy_decode,
+    normalize_text,
+)
 from asr_inconsistency.errors import TranscriptInvariantError
+from asr_inconsistency.refgen import BRACKETED
+from conftest import matrix_from_probs, peaked_rows
+
+# (text, its words) in the orthographies of the paper's three languages
+ORTHOGRAPHY = [
+    # Spanish: inverted marks, accents and ñ, precomposed and decomposed
+    ("¿Qué hora es?", ["qué", "hora", "es"]),
+    ("¡Hola, señor!", ["hola", "señor"]),
+    ("¿Sí?¡No!", ["sí", "no"]),
+    ("El niño—la niña", ["el", "niño", "la", "niña"]),
+    (unicodedata.normalize("NFD", "Mañana, el NIÑO."), ["mañana", "el", "niño"]),
+    ("Cuesta 3,5 euros", ["cuesta", "3,5", "euros"]),
+    # Dutch: a leading apostrophe is a boundary, an inner one is kept
+    ("'t Is zo'n mooie dag", ["t", "is", "zo'n", "mooie", "dag"]),
+    ("'s Avonds eet ik ijs", ["s", "avonds", "eet", "ik", "ijs"]),
+    ("IJmuiden, Nijmegen", ["ijmuiden", "nijmegen"]),
+    # English: contractions and hyphenated compounds
+    ("Don't worry, it's fine.", ["don't", "worry", "it's", "fine"]),
+    ("I’m a well-known mother-in-law", ["i’m", "a", "well-known", "mother-in-law"]),
+    ("rock&roll", ["rock", "roll"]),
+    ("wait...what", ["wait", "what"]),
+    ("hello,world", ["hello", "world"]),
+    ("3.5 kg", ["3.5", "kg"]),
+    # any language: other marks between two characters are boundaries, and
+    # a decimal mark is kept only between two digits
+    ("a.b,c;d(e)f", ["a", "b", "c", "d", "e", "f"]),
+    ("v3.x 1. .5", ["v3", "x", "1", "5"]),
+]
+
+
+def spelled(text: str) -> tuple[Vocabulary, PosteriorMatrix]:
+    """A vocabulary with one symbol per character of `text` (a space is the
+    delimiter) and a posterior whose greedy path spells `text`, a blank
+    after every character."""
+    symbols = ["<blank>", "|", *dict.fromkeys(ch for ch in text if ch != " ")]
+    vocab = Vocabulary(tuple(symbols), 0, 1)
+    hot = [i for ch in text for i in (symbols.index(ch if ch != " " else "|"), 0)]
+    return vocab, matrix_from_probs("u", peaked_rows(hot, len(symbols)))
 
 
 class TestNormalizeText:
@@ -33,6 +81,22 @@ class TestNormalizeText:
 
     def test_typographic_apostrophe(self):
         assert normalize_text("it’s") == ["it’s"]
+
+
+
+@pytest.mark.parametrize("text, words", ORTHOGRAPHY)
+class TestOrthographies:
+    def test_normalize_text(self, text, words):
+        assert normalize_text(text) == words
+
+    def test_through_the_bracketed_reply(self, text, words):
+        extracted, how = extract_bracketed(f"Corrected: [{text}]")
+        assert how == BRACKETED
+        assert Transcript.from_raw(extracted).words == tuple(words)
+
+    def test_through_the_greedy_path(self, text, words):
+        vocab, post = spelled(text)
+        assert collapse(greedy_decode(post), vocab).words == tuple(words)
 
 
 class TestTranscript:
