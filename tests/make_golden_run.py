@@ -3,9 +3,9 @@
 
     python3 tests/make_golden_run.py
 
-Run from the root of a source checkout. It builds the tests' synthetic
-corpus in a temporary directory, makes the outputs that tests/golden.py
-lists and writes their hashes. Only a change that means to change the
+It builds the tests' synthetic corpus in a temporary directory, makes
+the outputs that tests/golden.py lists with the checkout it sits in, and
+writes their hashes. Only a change that means to change the
 outputs regenerates the file, and it says which files changed and why.
 """
 
