@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Decode-alone A/B comparison of the beam search against another checkout.
 
-    python3 scripts/ab_decode.py PARENT_CHECKOUT [--rounds 14]
+    python3 scripts/ab_decode.py PARENT_CHECKOUT
 
 The checkout the script sits in is compared with PARENT_CHECKOUT, the
 root of another one (say, `git archive` of the parent commit unpacked
@@ -43,6 +43,7 @@ import workloads  # noqa: E402
 
 PARENT_NAME = "parent_asr_inconsistency"
 SEEDS = (1, 2, 3)
+ROUNDS = 14
 
 
 def load_package(package_dir: Path, name: str):
@@ -98,7 +99,6 @@ def time_round(sides, first: int) -> list[float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
-    parser.add_argument("--rounds", type=int, default=14)
     args = parser.parse_args(argv)
     parent = load_package(args.parent.resolve() / "src" / "asr_inconsistency", PARENT_NAME)
 
@@ -112,14 +112,14 @@ def main(argv: list[str] | None = None) -> int:
                 for pkg, searches in sides:
                     searches += load_searches(pkg, inputs)
             check_equal(name, sides)
-            times = [time_round(sides, r % 2) for r in range(args.rounds)]
+            times = [time_round(sides, r % 2) for r in range(ROUNDS)]
             ratios = [a / b for a, b in times]
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             ms = [1e3 * statistics.median(side) / frames for side in zip(*times)]
             print(f"{name}: seeds {' '.join(map(str, SEEDS))}, "
                   f"{len(sides[0][1])} utterances, {frames} frames, beams equal; "
                   f"parent/this median {median:.3f} (IQR {q1:.3f}-{q3:.3f}) "
-                  f"over {args.rounds} rounds; ms/frame parent {ms[0]:.4f}, "
+                  f"over {ROUNDS} rounds; ms/frame parent {ms[0]:.4f}, "
                   f"this {ms[1]:.4f}", flush=True)
     return 0
 

@@ -32,7 +32,7 @@ CORPUS = dict(n_speakers=12, utterances_per_speaker=6, words_per_utterance=5,
               seed=20240, write_audio=True)
 DECODE_CONFIGS = {
     "default": [],
-    "alpha1.5_beta0.2_width7": ["--alpha", "1.5", "--beta", "0.2", "--beam-width", "7"],
+    "alpha0_beta0": ["--alpha", "0", "--beta", "0"],
 }
 
 
